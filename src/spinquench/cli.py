@@ -26,7 +26,7 @@ import yaml
 
 from . import __version__
 from .model import HamiltonianParams, build_hamiltonian
-from .mps import TruncationPolicy
+from .mps import RDM_SITE_CAP, TruncationPolicy
 from .dmrg import DmrgSettings, ground_state
 from .tebd import EvolutionRecord, QuenchProtocol, evolve
 from .analysis import degree, distance_series, extrema_gaps
@@ -130,19 +130,23 @@ def _fields(mapping, prefix, errors):
     unknown = set(mapping) - {"J", "h_x", "h_z"}
     for bad in sorted(unknown):
         errors.append(f"unknown key '{prefix}.{bad}'")
-    values = []
-    for name in ("J", "h_x", "h_z"):
-        raw = mapping.get(name, 0.0)
-        try:
-            val = float(raw)
-        except (TypeError, ValueError):
-            errors.append(f"'{prefix}.{name}' must be a number, got {raw!r}")
-            val = 0.0
-        if not math.isfinite(val):
-            errors.append(f"'{prefix}.{name}' must be finite")
-            val = 0.0
-        values.append(val)
-    return tuple(values)
+    return tuple(
+        _number(mapping, name, 0.0, f"{prefix}.{name}", errors) for name in ("J", "h_x", "h_z")
+    )
+
+
+def _number(mapping, key, default, label, errors) -> float:
+    """``mapping[key]`` as a finite float; on failure an error item and ``default``."""
+    raw = mapping.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        errors.append(f"'{label}' must be a number, got {raw!r}")
+        return default
+    if not math.isfinite(value):
+        errors.append(f"'{label}' must be finite")
+        return default
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -174,7 +178,8 @@ def load_config(path) -> ExperimentConfig:
 
     system = _section(doc, "system", errors, {"sites"})
     n_sites = system.get("sites")
-    if not isinstance(n_sites, int) or n_sites < 2:
+    sites_ok = isinstance(n_sites, int) and n_sites >= 2
+    if not sites_ok:
         errors.append("'system.sites' must be an integer >= 2")
         n_sites = 2
 
@@ -185,8 +190,8 @@ def load_config(path) -> ExperimentConfig:
         errors.append("'quench.pre' and 'quench.post' are required")
     pre = _fields(quench.get("pre", {}), "quench.pre", errors)
     post = _fields(quench.get("post", {}), "quench.post", errors)
-    t_max = float(quench.get("t_max", 20.0))
-    tau = float(quench.get("tau", 0.01))
+    t_max = _number(quench, "t_max", 20.0, "quench.t_max", errors)
+    tau = _number(quench, "tau", 0.01, "quench.tau", errors)
     record_stride = quench.get("record_stride", 10)
     if t_max <= 0:
         errors.append("'quench.t_max' must be positive")
@@ -197,7 +202,7 @@ def load_config(path) -> ExperimentConfig:
         record_stride = 1
 
     trunc = _section(doc, "truncation", errors, {"cutoff", "chi_max"})
-    cutoff = float(trunc.get("cutoff", 1e-9))
+    cutoff = _number(trunc, "cutoff", 1e-9, "truncation.cutoff", errors)
     chi_max = trunc.get("chi_max", 50)
     if cutoff < 0:
         errors.append("'truncation.cutoff' must be non-negative")
@@ -209,7 +214,7 @@ def load_config(path) -> ExperimentConfig:
         doc, "dmrg", errors, {"max_sweeps", "energy_tol", "local_solver_iters"}
     )
     max_sweeps = dmrg.get("max_sweeps", 30)
-    energy_tol = float(dmrg.get("energy_tol", 1e-10))
+    energy_tol = _number(dmrg, "energy_tol", 1e-10, "dmrg.energy_tol", errors)
     local_iters = dmrg.get("local_solver_iters", 100)
     if not isinstance(max_sweeps, int) or max_sweeps < 1:
         errors.append("'dmrg.max_sweeps' must be an integer >= 1")
@@ -228,6 +233,12 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(sizes, list) or not all(isinstance(s, int) and s >= 1 for s in sizes):
         errors.append("'analysis.subsystem_sizes' must be a list of positive integers")
         sizes = [1]
+    size_cap = min(RDM_SITE_CAP, n_sites) if sites_ok else RDM_SITE_CAP
+    if any(s > size_cap for s in sizes):
+        errors.append(
+            f"'analysis.subsystem_sizes' entries must be at most {size_cap} "
+            f"(the block cap {RDM_SITE_CAP} and system.sites), got {sizes}"
+        )
     spacing = record_stride * tau
     grid_spec = analysis.get("delta_grid", {"start": 0.1, "stop": 4.0, "step": 0.1})
     deltas = _parse_delta_grid(grid_spec, spacing, errors)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse.linalg as sparse_linalg
 
 from .model import HamiltonianSpec
-from .mps import MpsState, TruncationPolicy, _truncation_rank, product_state
+from .mps import MpsState, TruncationPolicy, product_state
 
 _DENSE_SOLVE_DIM = 128
 _FACTOR_RANK_TOL = 1e-14
@@ -146,21 +146,6 @@ def _solve_block(left_env, right_env, w1, w2, theta0, tol, maxiter):
         return float(energy), theta0
 
 
-def _split_block(state, i, theta, policy, center_side):
-    a, _, _, b = theta.shape
-    u, s, vh = np.linalg.svd(theta.reshape(a * 2, 2 * b), full_matrices=False)
-    keep, _ = _truncation_rank(s, policy)
-    s_kept = s[:keep] / np.linalg.norm(s[:keep])
-    if center_side == "right":
-        state.tensors[i] = u[:, :keep].reshape(a, 2, keep)
-        state.tensors[i + 1] = (s_kept[:, None] * vh[:keep, :]).reshape(keep, 2, b)
-        state.ortho_center = i + 1
-    else:
-        state.tensors[i] = (u[:, :keep] * s_kept).reshape(a, 2, keep)
-        state.tensors[i + 1] = vh[:keep, :].reshape(keep, 2, b)
-        state.ortho_center = i
-
-
 def _initial_state(hspec: HamiltonianSpec, seed: int) -> MpsState:
     """Random product state; tilted towards spin-up in the symmetric ordered phase
     so the search lands on one symmetry-broken branch deterministically."""
@@ -209,7 +194,7 @@ def ground_state(
                 left_env[i], right_env[i + 1], mpo[i], mpo[i + 1],
                 theta, solver_tol, settings.local_solver_iters,
             )
-            _split_block(state, i, theta, settings.policy, "right")
+            state.split_pair(i, theta, settings.policy, "right")
             left_env[i + 1] = _contract_left(left_env[i], state.tensors[i], mpo[i])
         for i in range(n - 2, -1, -1):
             theta = np.tensordot(state.tensors[i], state.tensors[i + 1], axes=(2, 0))
@@ -217,7 +202,7 @@ def ground_state(
                 left_env[i], right_env[i + 1], mpo[i], mpo[i + 1],
                 theta, solver_tol, settings.local_solver_iters,
             )
-            _split_block(state, i, theta, settings.policy, "left")
+            state.split_pair(i, theta, settings.policy, "left")
             right_env[i] = _contract_right(right_env[i + 1], state.tensors[i + 1], mpo[i + 1])
 
         sweep_energies.append(state.copy().energy(hspec))

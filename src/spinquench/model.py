@@ -83,7 +83,7 @@ class TrotterScheme:
     """One second-order step: odd bonds at tau/2, even bonds at tau, odd at tau/2.
 
     ``gate_layers`` is an ordered sequence of layers, each a tuple of
-    ``(bond, gate)`` pairs with ``gate`` a 4x4 unitary acting on sites
+    ``(bond, gate)`` pairs with ``gate`` a complex 4x4 unitary acting on sites
     (bond, bond+1). Bonds within a layer are disjoint, so gates in a layer
     commute and may be applied in any order.
     """
@@ -98,6 +98,12 @@ class TrotterScheme:
         eye = np.eye(4)
         for layer in self.gate_layers:
             for bond, gate in layer:
+                # the MPS gate path relies on this and checks neither itself
+                if gate.shape != (4, 4) or gate.dtype != np.complex128:
+                    raise ValueError(
+                        f"gate on bond {bond} must be a complex128 4x4 array, "
+                        f"got {gate.dtype} {gate.shape}"
+                    )
                 if np.max(np.abs(gate.conj().T @ gate - eye)) > UNITARITY_TOL:
                     raise ValueError(f"gate on bond {bond} is not unitary")
 

@@ -1,14 +1,22 @@
-"""Finite matrix product states with a movable orthogonality centre.
+"""Finite matrix product states in two gauges, with truncated two-site updates.
 
 Site tensors have legs ``(left bond, physical, right bond)``, physical
-dimension 2, boundary bonds of dimension 1. The gauge invariant: tensors left
-of the centre are left isometries, tensors right of it right isometries, so
-norms, local expectations and block density matrices close with identity
-environments.
+dimension 2, boundary bonds of dimension 1. A state is held in one of two
+forms:
 
-Two-site gate application follows the usual TEBD update: contract the bond
-pair into a theta tensor, apply the gate, split by SVD, discard the smallest
-singular values within the truncation budget and renormalise.
+- The centre form: tensors left of the orthogonality centre are left
+  isometries, tensors right of it right isometries, so norms, local
+  expectations and block density matrices close with identity environments
+  once ``canonicalize`` has moved the centre (by QR steps) next to them. DMRG
+  works in this form.
+- The Schmidt form: every tensor is a right isometry and the singular values
+  of every cut are kept beside the tensors. TEBD works in this form. A gate
+  on any bond (i, i+1) applies to Lambda_i B_i B_{i+1}, is split by SVD and
+  leaves the form intact without touching other sites, and block density
+  matrices and bond energies are local contractions that need no re-gauging.
+
+Both forms split a two-site block by the same truncated SVD: discard the
+smallest singular values within the truncation budget, then renormalise.
 """
 
 from __future__ import annotations
@@ -100,7 +108,13 @@ def reduce_density_matrix(dm: DensityMatrix, keep: tuple) -> DensityMatrix:
 
 
 class MpsState:
-    """Mutable finite MPS; one instance per evolution worker."""
+    """Mutable finite MPS; one instance per evolution worker.
+
+    ``schmidt_values`` is None in the centre form. In the Schmidt form it
+    holds one array per cut j = 0..N: the unit-norm singular values across
+    the cut left of site j (``[1]`` at both ends). Every tensor is then a
+    right isometry and ``ortho_center`` is 0.
+    """
 
     def __init__(self, tensors, ortho_center=None):
         tensors = [np.asarray(t, dtype=complex) for t in tensors]
@@ -117,6 +131,7 @@ class MpsState:
             raise ValueError(f"orthogonality centre {ortho_center} out of range")
         self.tensors = tensors
         self.ortho_center = ortho_center
+        self.schmidt_values = None
 
     @property
     def n_sites(self) -> int:
@@ -127,7 +142,10 @@ class MpsState:
         return [t.shape[2] for t in self.tensors[:-1]]
 
     def copy(self) -> "MpsState":
-        return MpsState([t.copy() for t in self.tensors], self.ortho_center)
+        twin = MpsState([t.copy() for t in self.tensors], self.ortho_center)
+        if self.schmidt_values is not None:
+            twin.schmidt_values = list(self.schmidt_values)
+        return twin
 
     # -- gauge manipulation ------------------------------------------------
 
@@ -146,10 +164,15 @@ class MpsState:
         self.tensors[i - 1] = np.tensordot(self.tensors[i - 1], r.conj().T, axes=(2, 0))
 
     def canonicalize(self, center: int) -> "MpsState":
-        """Bring the state to mixed-canonical form with the centre at ``center``."""
+        """Bring the state to mixed-canonical form with the centre at ``center``.
+
+        Moving the centre away from site 0 leaves the Schmidt form.
+        """
         n = self.n_sites
         if not 0 <= center < n:
             raise ValueError(f"centre {center} out of range for {n} sites")
+        if center != self.ortho_center:
+            self.schmidt_values = None
         if self.ortho_center is None:
             for i in range(center):
                 self._shift_center_right(i)
@@ -164,6 +187,40 @@ class MpsState:
         self.ortho_center = center
         return self
 
+    def to_schmidt_form(self) -> "MpsState":
+        """Bring the state to the Schmidt form and normalise it.
+
+        One QR sweep to the last site, then one SVD sweep back that leaves
+        right isometries behind and records each cut's singular values.
+        Nothing is truncated.
+        """
+        if self.schmidt_values is not None:
+            return self
+        n = self.n_sites
+        self.canonicalize(n - 1)
+        values = [np.ones(1)] * (n + 1)
+        for i in range(n - 1, 0, -1):
+            dl, d, dr = self.tensors[i].shape
+            u, s, vh = np.linalg.svd(self.tensors[i].reshape(dl, d * dr), full_matrices=False)
+            self.tensors[i] = vh.reshape(len(s), d, dr)
+            self.tensors[i - 1] = np.tensordot(self.tensors[i - 1], u * s, axes=(2, 0))
+            values[i] = s / np.linalg.norm(s)
+        self.tensors[0] = self.tensors[0] / np.linalg.norm(self.tensors[0])
+        self.ortho_center = 0
+        self.schmidt_values = values
+        return self
+
+    def _center_tensor(self, site: int) -> np.ndarray:
+        """Tensor of ``site`` carrying the weight of everything left of it.
+
+        Contracted with right isometries, it closes with identity
+        environments. In the centre form the centre moves to ``site``.
+        """
+        if self.schmidt_values is None:
+            self.canonicalize(site)
+            return self.tensors[site]
+        return self.schmidt_values[site][:, None, None] * self.tensors[site]
+
     def norm(self) -> float:
         """Full transfer-matrix contraction of <psi|psi>; gauge-independent."""
         env = np.ones((1, 1), dtype=complex)
@@ -177,42 +234,59 @@ class MpsState:
     def apply_two_site_gate(self, gate, left_site, policy, center_side="right"):
         """Apply a 4x4 gate to sites (left_site, left_site+1), truncate by SVD.
 
-        The orthogonality centre must already sit on one of the two sites.
         Returns the discarded weight (sum of dropped squared singular values);
-        the state is renormalised afterwards. ``center_side`` chooses which of
-        the two sites keeps the centre.
+        the state is renormalised afterwards. In the Schmidt form the gate may
+        act on any bond and the form is kept: the new left tensor is the gated
+        pair contracted with the new right isometry, so no singular value is
+        ever inverted (Hastings, J. Math. Phys. 50, 095207 (2009)), and
+        ``center_side`` is unused. In the centre form the orthogonality centre
+        must already sit on one of the two sites, and ``center_side`` chooses
+        which of them keeps it. ``TrotterScheme`` checks gate shapes and
+        dtypes; this hot path does not.
         """
         i = left_site
         if not 0 <= i < self.n_sites - 1:
             raise ValueError(f"gate site {i} out of range")
-        if self.ortho_center not in (i, i + 1):
+        schmidt = self.schmidt_values
+        if schmidt is None and self.ortho_center not in (i, i + 1):
             raise ValueError(
                 f"orthogonality centre is at {self.ortho_center}, gate needs {i} or {i + 1}"
             )
-        gate = np.asarray(gate, dtype=complex)
-        if gate.shape != (4, 4):
-            raise ValueError(f"gate must be 4x4, got {gate.shape}")
+        phi = gate @ _two_site(self.tensors[i], self.tensors[i + 1])  # (l, 4, r)
+        if schmidt is None:
+            return self.split_pair(i, phi, policy, center_side)
 
-        theta = np.tensordot(self.tensors[i], self.tensors[i + 1], axes=(2, 0))
-        # (l, pi, pj, r); gate legs (out_i, out_j, in_i, in_j)
-        theta = np.tensordot(gate.reshape(2, 2, 2, 2), theta, axes=((2, 3), (1, 2)))
-        theta = theta.transpose(2, 0, 1, 3)
-        dl, _, _, dr = theta.shape
+        dl, _, dr = phi.shape
+        theta = (schmidt[i][:, None, None] * phi).reshape(dl * 2, 2 * dr)
+        _, s, vh, norm, discarded = _svd_split(theta, policy)
+        keep = len(s)
+        self.tensors[i] = (phi.reshape(dl * 2, 2 * dr) @ vh.conj().T / norm).reshape(dl, 2, keep)
+        self.tensors[i + 1] = vh.reshape(keep, 2, dr)
+        schmidt[i + 1] = s
+        return discarded
 
-        u, s, vh = np.linalg.svd(theta.reshape(dl * 2, 2 * dr), full_matrices=False)
-        keep, discarded = _truncation_rank(s, policy)
-        s_kept = s[:keep] / np.linalg.norm(s[:keep])
-        u, vh = u[:, :keep], vh[:keep, :]
+    def split_pair(self, i, theta, policy, center_side="right") -> float:
+        """Replace sites (i, i+1) by the truncated SVD split of ``theta``.
+
+        ``theta`` holds the pair with legs (l, 4, r) or (l, 2, 2, r). The kept
+        singular values, renormalised, go to the site that ``center_side``
+        names, which becomes the orthogonality centre; the state is left in
+        the centre form. Returns the discarded weight.
+        """
+        if center_side not in ("left", "right"):
+            raise ValueError(f"center_side must be 'left' or 'right', got {center_side!r}")
+        dl, dr = theta.shape[0], theta.shape[-1]
+        u, s, vh, _, discarded = _svd_split(theta.reshape(dl * 2, 2 * dr), policy)
+        keep = len(s)
         if center_side == "right":
             self.tensors[i] = u.reshape(dl, 2, keep)
-            self.tensors[i + 1] = (s_kept[:, None] * vh).reshape(keep, 2, dr)
+            self.tensors[i + 1] = (s[:, None] * vh).reshape(keep, 2, dr)
             self.ortho_center = i + 1
-        elif center_side == "left":
-            self.tensors[i] = (u * s_kept).reshape(dl, 2, keep)
+        else:
+            self.tensors[i] = (u * s).reshape(dl, 2, keep)
             self.tensors[i + 1] = vh.reshape(keep, 2, dr)
             self.ortho_center = i
-        else:
-            raise ValueError(f"center_side must be 'left' or 'right', got {center_side!r}")
+        self.schmidt_values = None
         return discarded
 
     # -- read-outs -----------------------------------------------------------
@@ -220,8 +294,9 @@ class MpsState:
     def rdm(self, sites, time_stamp=0.0, max_sites=RDM_DEFAULT_MAX) -> DensityMatrix:
         """Reduced density matrix of a contiguous block of sites.
 
-        Moves the orthogonality centre to the block's left edge (the state
-        vector is unchanged by the re-gauge).
+        A local contraction in the Schmidt form; in the centre form the centre
+        first moves to the block's left edge (the state vector is unchanged by
+        the re-gauge).
         """
         sites = tuple(sites)
         if not sites or list(sites) != list(range(sites[0], sites[-1] + 1)):
@@ -232,8 +307,7 @@ class MpsState:
         if len(sites) > cap:
             raise ValueError(f"block of {len(sites)} sites exceeds the cap of {cap}")
 
-        self.canonicalize(sites[0])
-        block = self.tensors[sites[0]]
+        block = self._center_tensor(sites[0])
         for s in range(sites[0] + 1, sites[-1] + 1):
             block = np.tensordot(block, self.tensors[s], axes=(block.ndim - 1, 0))
         dl = block.shape[0]
@@ -248,30 +322,36 @@ class MpsState:
         if not 0 <= site < self.n_sites:
             raise ValueError(f"site {site} out of range")
         op = np.asarray(op, dtype=complex)
-        self.canonicalize(site)
-        t = self.tensors[site]
+        t = self._center_tensor(site)
         val = np.einsum("apb,pq,aqb->", t.conj(), op, t, optimize=True)
         if abs(val.imag) > 1e-10:
             raise ValueError(f"expectation value has imaginary part {val.imag}")
         return float(val.real)
 
     def energy(self, hspec: HamiltonianSpec) -> float:
-        """Sum of bond-term expectations; the total energy of the chain."""
+        """Sum of bond-term expectations; the total energy of the chain.
+
+        A local contraction per bond in the Schmidt form; in the centre form
+        the centre sweeps from site 0 to the last bond.
+        """
         if hspec.n_sites != self.n_sites:
             raise ValueError(
                 f"Hamiltonian has {hspec.n_sites} sites, state has {self.n_sites}"
             )
-        self.canonicalize(0)
+        schmidt = self.schmidt_values
+        if schmidt is None:
+            self.canonicalize(0)
         total = 0.0 + 0.0j
         for b, term in enumerate(hspec.bond_terms):
-            theta = np.tensordot(self.tensors[b], self.tensors[b + 1], axes=(2, 0))
-            h_theta = np.tensordot(
-                term.reshape(2, 2, 2, 2), theta, axes=((2, 3), (1, 2))
-            ).transpose(2, 0, 1, 3)
-            total += np.einsum("lpqr,lpqr->", theta.conj(), h_theta, optimize=True)
-            if b < len(hspec.bond_terms) - 1:
-                self._shift_center_right(b)
-                self.ortho_center = b + 1
+            if schmidt is not None:
+                left = schmidt[b][:, None, None] * self.tensors[b]
+            else:
+                if b:
+                    self._shift_center_right(b - 1)
+                    self.ortho_center = b
+                left = self.tensors[b]
+            theta = _two_site(left, self.tensors[b + 1])
+            total += np.vdot(theta, term @ theta)
         if abs(total.imag) > 1e-10:
             raise ValueError(f"energy has imaginary part {total.imag}")
         return float(total.real)
@@ -284,6 +364,13 @@ class MpsState:
         for t in self.tensors[1:]:
             acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
         return acc.reshape(-1)
+
+
+def _two_site(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Contract neighbouring site tensors into a pair tensor with legs (l, 4, r)."""
+    dl, _, bond = left.shape
+    dr = right.shape[2]
+    return (left.reshape(dl * 2, bond) @ right.reshape(bond, 2 * dr)).reshape(dl, 4, dr)
 
 
 TRUNCATION_MARGIN = 1e-3
@@ -300,17 +387,26 @@ def _truncation_rank(singular_values, policy: TruncationPolicy):
     ``chi_max`` is not binding, holds a fortiori.
     """
     sq = singular_values**2
-    tail = np.cumsum(sq[::-1])[::-1]  # tail[k] = sum of sq[k:]
+    tail = np.cumsum(sq[::-1])[::-1]  # tail[k] = sum of sq[k:], non-increasing in k
     budget = policy.cutoff * TRUNCATION_MARGIN
-    keep = len(sq)
-    for k in range(len(sq) - 1, 0, -1):
-        if tail[k] <= budget:
-            keep = k
-        else:
-            break
+    # the first k with tail[k] <= budget; "not <=" counts a NaN as over budget,
+    # so a failed decomposition keeps its NaN for the caller's finiteness checks
+    keep = int(np.count_nonzero(~(tail <= budget)))
     keep = max(1, min(keep, policy.chi_max))
     discarded = float(tail[keep]) if keep < len(sq) else 0.0
     return keep, discarded
+
+
+def _svd_split(theta: np.ndarray, policy: TruncationPolicy):
+    """Truncated SVD of a matrix: ``(u, s, vh, norm, discarded)``.
+
+    ``s`` holds the kept singular values divided by their 2-norm ``norm``;
+    ``discarded`` is the dropped squared weight before renormalisation.
+    """
+    u, s, vh = np.linalg.svd(theta, full_matrices=False)
+    keep, discarded = _truncation_rank(s, policy)
+    norm = np.linalg.norm(s[:keep])
+    return u[:, :keep], s[:keep] / norm, vh[:keep], norm, discarded
 
 
 def product_state(local_states) -> MpsState:

@@ -3,8 +3,10 @@
 A run evolves a state under the post-quench Hamiltonian, snapshotting the
 centered block density matrices, the energy, the largest bond dimension and
 the accumulated discarded weight every ``record_stride`` steps (the t = 0
-snapshot always included). Gate layers are applied in a snake pattern so the
-orthogonality centre never makes a wasted pass over the chain.
+snapshot always included). The state is brought into the MPS Schmidt form
+once, before the first snapshot, and stays in it: every gate updates its own
+bond in place, so gates of a layer may run in any order, and each snapshot
+reads local contractions without re-gauging the chain.
 """
 
 from __future__ import annotations
@@ -124,8 +126,7 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     policy = protocol.policy
     blocks = {ell: centered_block(n, ell) for ell in protocol.subsystem_sizes}
 
-    state = initial.copy()
-    state.canonicalize(0)
+    state = initial.copy().to_schmidt_form()
 
     n_steps = math.ceil(protocol.t_max / protocol.tau - _GRID_SLACK)
     times, energies, max_bonds, cum_discarded = [], [], [], []
@@ -135,7 +136,6 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     stalled_steps = 0
     aborted = False
     abort_reason = None
-    ascending = True
 
     def snapshot(step_index: int) -> bool:
         t = (step_index // protocol.record_stride) * protocol.record_spacing
@@ -156,8 +156,7 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     for step in range(1, n_steps + 1):
         step_discarded = 0.0
         for layer in scheme.gate_layers:
-            step_discarded += _apply_layer(state, layer, policy, ascending)
-            ascending = not ascending
+            step_discarded += _apply_layer(state, layer, policy)
         total_discarded += step_discarded
 
         if max(state.bond_dims) >= policy.chi_max and step_discarded > _STALL_FACTOR * policy.cutoff:
@@ -190,15 +189,9 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     )
 
 
-def _apply_layer(state: MpsState, layer, policy: TruncationPolicy, ascending: bool) -> float:
-    """Apply one layer of commuting bond gates in snake order."""
+def _apply_layer(state: MpsState, layer, policy: TruncationPolicy) -> float:
+    """Apply one layer of commuting bond gates to a state in the Schmidt form."""
     discarded = 0.0
-    gates = layer if ascending else tuple(reversed(layer))
-    side = "right" if ascending else "left"
-    for bond, gate in gates:
-        if state.ortho_center < bond:
-            state.canonicalize(bond)
-        elif state.ortho_center > bond + 1:
-            state.canonicalize(bond + 1)
-        discarded += state.apply_two_site_gate(gate, bond, policy, center_side=side)
+    for bond, gate in layer:
+        discarded += state.apply_two_site_gate(gate, bond, policy)
     return discarded

@@ -275,3 +275,34 @@ def test_main_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "spinquench" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "old, new, label",
+    [
+        ("t_max: 1.0", "t_max: soon", "quench.t_max"),
+        ("tau: 0.01", "tau: [0.01]", "quench.tau"),
+        ("record_stride: 10", "record_stride: 10\ntruncation: {cutoff: tiny}", "truncation.cutoff"),
+        ("record_stride: 10", "record_stride: 10\ndmrg: {energy_tol: .nan}", "dmrg.energy_tol"),
+    ],
+)
+def test_non_numeric_values_exit_with_config_error(tmp_path, capsys, old, new, label):
+    text = BASE.replace(old, new)
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, text)), "--output", str(out)]) == EXIT_CONFIG
+    assert f"'{label}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sites, sizes", [(6, "[1, 7]"), (60, "[9]")])
+def test_oversized_block_rejected_at_load(tmp_path, capsys, monkeypatch, sites, sizes):
+    text = BASE.replace("sites: 6", f"sites: {sites}").replace("[1, 2]", sizes)
+
+    def no_ground_state(*args, **kwargs):
+        raise AssertionError("the config should be rejected before DMRG runs")
+
+    monkeypatch.setattr("spinquench.cli.ground_state", no_ground_state)
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, text)), "--output", str(out)]) == EXIT_CONFIG
+    assert "'analysis.subsystem_sizes'" in capsys.readouterr().err
+    assert not out.exists()

@@ -8,6 +8,7 @@ from spinquench.model import (
     HamiltonianParams,
     SX,
     SZ,
+    TrotterScheme,
     build_hamiltonian,
     build_trotter_gates,
 )
@@ -147,3 +148,10 @@ def test_rejects_non_positive_tau():
         build_trotter_gates(spec, 0.0)
     with pytest.raises(ValueError):
         build_trotter_gates(spec, -0.1)
+
+
+def test_scheme_rejects_gates_of_wrong_shape_or_dtype():
+    TrotterScheme(tau=0.1, gate_layers=(((0, np.eye(4, dtype=complex)),),))
+    for gate in (np.eye(2, dtype=complex), np.eye(4), np.eye(4, dtype=np.complex64)):
+        with pytest.raises(ValueError, match="complex128 4x4"):
+            TrotterScheme(tau=0.1, gate_layers=(((0, gate),),))

@@ -1,13 +1,17 @@
 """MPS gauge moves, gate application with truncation, and block density matrices."""
 
+import math
+
 import numpy as np
 import pytest
 
 from spinquench.model import SX, SZ, HamiltonianParams, build_hamiltonian
 from spinquench.mps import (
+    TRUNCATION_MARGIN,
     DensityMatrix,
     MpsState,
     TruncationPolicy,
+    _truncation_rank,
     all_plus_state,
     all_up_state,
     product_state,
@@ -274,3 +278,101 @@ def test_truncation_policy_validation():
         TruncationPolicy(cutoff=-1e-9)
     with pytest.raises(ValueError):
         TruncationPolicy(chi_max=0)
+
+
+def random_gate(rng, strength=0.3):
+    herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    herm = herm + herm.conj().T
+    evals, evecs = np.linalg.eigh(herm)
+    return (evecs * np.exp(-1j * strength * evals)) @ evecs.conj().T
+
+
+def test_schmidt_form_gates_match_dense_application():
+    rng = np.random.default_rng(7)
+    n = 8
+    state = random_state(n, 6, rng).to_schmidt_form()
+    policy = TruncationPolicy(cutoff=0.0, chi_max=4096)
+    dense = state.to_statevector()
+    for bond in (0, 3, 6, 2, 5):
+        gate = random_gate(rng)
+        weight = state.apply_two_site_gate(gate, bond, policy)
+        assert weight == 0.0
+        assert state.ortho_center == 0
+        op = np.kron(np.kron(np.eye(2**bond), gate), np.eye(2 ** (n - bond - 2)))
+        dense = op @ dense
+        dense /= np.linalg.norm(dense)
+        overlap = abs(np.vdot(dense, state.to_statevector()))
+        assert overlap >= 1 - 1e-10
+    # the cached values are the Schmidt values of every cut, the tensors right isometries
+    for cut in range(1, n):
+        exact = np.linalg.svd(dense.reshape(2**cut, -1), compute_uv=False)
+        cached = state.schmidt_values[cut]
+        assert np.max(np.abs(cached - exact[: len(cached)])) <= 1e-10
+        assert np.linalg.norm(exact[len(cached):]) <= 1e-10
+    for t in state.tensors:
+        mat = t.reshape(t.shape[0], -1)
+        assert np.max(np.abs(mat @ mat.conj().T - np.eye(t.shape[0]))) <= 1e-10
+
+
+def test_schmidt_form_read_path_matches_centre_form():
+    rng = np.random.default_rng(21)
+    n = 10
+    spec = build_hamiltonian(HamiltonianParams(1.0, 0.7, 0.3, n))
+    state = random_state(n, 8, rng).to_schmidt_form()
+    for bond in (4, 1, 7, 0, 8, 5):
+        state.apply_two_site_gate(random_gate(rng), bond, TruncationPolicy(1e-9, 50))
+    assert state.energy(spec) == pytest.approx(
+        state.copy().canonicalize(5).energy(spec), abs=1e-12
+    )
+    for sites in [(0,), (4, 5), (2, 3, 4), (6, 7, 8, 9)]:
+        mine = state.rdm(sites).entries
+        centred = state.copy().canonicalize(sites[-1]).rdm(sites).entries
+        assert np.max(np.abs(mine - centred)) <= 1e-12
+    for site in (0, 3, 9):
+        assert state.expectation_local(SX, site) == pytest.approx(
+            state.copy().canonicalize(7).expectation_local(SX, site), abs=1e-12
+        )
+    assert state.schmidt_values is not None  # the read path kept the form
+    assert state.copy().canonicalize(1).schmidt_values is None
+
+
+def reference_truncation_rank(singular_values, policy):
+    """The loop form of the truncation rule, kept to check the vectorised one."""
+    sq = singular_values**2
+    tail = np.cumsum(sq[::-1])[::-1]
+    budget = policy.cutoff * TRUNCATION_MARGIN
+    keep = len(sq)
+    for k in range(len(sq) - 1, 0, -1):
+        if tail[k] <= budget:
+            keep = k
+        else:
+            break
+    keep = max(1, min(keep, policy.chi_max))
+    discarded = float(tail[keep]) if keep < len(sq) else 0.0
+    return keep, discarded
+
+
+def test_truncation_rank_matches_loop():
+    rng = np.random.default_rng(4)
+    spectra = [
+        np.array([0.8]),  # a single value
+        np.array([0.7, 0.5, 0.4, 0.3]),  # all kept
+        np.array([0.9, 0.3, 1e-7, 1e-9, 0.0]),  # exact zero in the tail
+        np.sort(rng.random(40))[::-1] ** 8,
+        np.array([0.9, np.nan, 1e-3, 1e-9]),  # a failed decomposition
+    ]
+    policies = [
+        TruncationPolicy(cutoff=0.0, chi_max=4096),
+        TruncationPolicy(cutoff=1e-9, chi_max=50),
+        TruncationPolicy(cutoff=1e-3, chi_max=50),
+        TruncationPolicy(cutoff=0.0, chi_max=2),  # chi_max binding
+        TruncationPolicy(cutoff=1.0, chi_max=3),
+    ]
+    for s in spectra:
+        for policy in policies:
+            keep, discarded = _truncation_rank(s, policy)
+            ref_keep, ref_discarded = reference_truncation_rank(s, policy)
+            assert keep == ref_keep
+            assert discarded == ref_discarded or (
+                math.isnan(discarded) and math.isnan(ref_discarded)
+            )

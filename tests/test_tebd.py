@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinquench.model import SZ, HamiltonianParams, build_hamiltonian
-from spinquench.mps import TruncationPolicy, all_up_state
+from spinquench.mps import MpsState, TruncationPolicy, all_plus_state, all_up_state
 from spinquench.dmrg import DmrgSettings, ground_state
 from spinquench.tebd import EvolutionRecord, QuenchProtocol, centered_block, evolve
 from spinquench.exact import DensePropagator, ed_rdm, statevector_from_mps
@@ -167,3 +167,24 @@ def test_record_validation():
             times=np.array([0.0, 0.5, 1.5]), spacing=0.5, rdms={}, blocks={},
             energies=np.zeros(3), max_bond=[1, 1, 1], cumulative_discarded=np.zeros(3),
         )
+
+
+def test_evolve_regauges_at_most_once(monkeypatch):
+    n = 20
+    protocol = QuenchProtocol(
+        pre=HamiltonianParams(0.2, 1.0, 0.0, n), post=HamiltonianParams(1.0, 0.1, 0.5, n),
+        t_max=0.5, tau=0.01, record_stride=10, subsystem_sizes=(1, 2, 3, 4),
+        policy=TruncationPolicy(1e-9, 50),
+    )
+    calls = []
+    original = MpsState.canonicalize
+
+    def counting(self, center):
+        calls.append(center)
+        return original(self, center)
+
+    monkeypatch.setattr(MpsState, "canonicalize", counting)
+    record = evolve(all_plus_state(n), protocol)
+    assert record.n_times == 6
+    assert max(record.max_bond) > 1
+    assert len(calls) <= 1
