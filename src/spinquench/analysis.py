@@ -7,6 +7,12 @@ series at a fixed temporal separation feeds a discrete slope; the sum of the
 positive slopes is the revival degree, scanned over separations to give a
 degree curve. Extremum spacing on either kind of series yields the
 characteristic timescales.
+
+Each measure has one definition, written over stacks of states, that serves
+both a single pair and a whole series. A series is computed in one batch:
+the total variation distance reads the spectrum each density matrix cached
+when it was validated, so it needs no eigensolve at all, and the trace
+distance makes one batched eigensolve of all the differences.
 """
 
 from __future__ import annotations
@@ -31,39 +37,62 @@ def _entries(state) -> np.ndarray:
     return np.asarray(state)
 
 
-def trace_distance(rho, sigma) -> float:
-    """Half the sum of absolute eigenvalues of (rho - sigma)."""
+def _spectrum(state) -> np.ndarray:
+    """Ascending eigenvalues; cached on a DensityMatrix."""
+    if isinstance(state, DensityMatrix):
+        return state.spectrum()
+    return np.linalg.eigvalsh(np.asarray(state))
+
+
+def _sorted_spectra(evals: np.ndarray) -> np.ndarray:
+    """Ascending spectra (last axis) clipped at zero, renormalised to unit sum
+    and sorted descending. Reversing sorts them, since ``eigvalsh`` returns
+    eigenvalues in ascending order and neither step reorders them."""
+    evals = np.clip(evals, 0.0, None)
+    total = evals.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
+        raise ValueError("spectrum has no positive weight")
+    return (evals / total)[..., ::-1]
+
+
+def _trace_distances(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Trace distances between stacked density matrices, pair by pair."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(later - earlier)).sum(-1)
+
+
+def _total_variation_distances(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Total variation distances between stacked ascending spectra, pair by pair."""
+    return 0.5 * np.abs(_sorted_spectra(later) - _sorted_spectra(earlier)).sum(-1)
+
+
+# per measure: what it reads from each state, and its formula over stacks of those
+_MEASURES = {
+    "td": (_entries, _trace_distances),
+    "tvd": (_spectrum, _total_variation_distances),
+}
+
+
+def _distance(key: str, rho, sigma) -> float:
     a, b = _entries(rho), _entries(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    read, formula = _MEASURES[key]
+    return float(formula(read(rho), read(sigma)))
 
 
-def _sorted_spectrum(entries: np.ndarray) -> np.ndarray:
-    """Eigenvalues sorted descending, with truncation-level negatives zeroed
-    and the vector renormalised to unit sum."""
-    evals = np.linalg.eigvalsh(entries)
-    evals = np.clip(evals, 0.0, None)
-    total = evals.sum()
-    if total <= 0:
-        raise ValueError("spectrum has no positive weight")
-    return np.sort(evals / total)[::-1]
+def trace_distance(rho, sigma) -> float:
+    """Half the sum of absolute eigenvalues of (rho - sigma)."""
+    return _distance("td", rho, sigma)
 
 
 def total_variation_distance(rho, sigma) -> float:
     """Half the l1 distance between the descendingly sorted spectra."""
-    a, b = _entries(rho), _entries(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(0.5 * np.sum(np.abs(_sorted_spectrum(a) - _sorted_spectrum(b))))
-
-
-_MEASURE_FN = {"td": trace_distance, "tvd": total_variation_distance}
+    return _distance("tvd", rho, sigma)
 
 
 def _check_measure(measure: str) -> str:
     key = measure.lower()
-    if key not in _MEASURE_FN:
+    if key not in _MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     return key
 
@@ -122,15 +151,21 @@ class DegreeCurve:
 def distance_series(
     record: EvolutionRecord, ell: int, delta: float, measure: str
 ) -> DistanceSeries:
-    """Series value at t_k: distance between the block states at t_k + delta and t_k."""
+    """Series value at t_k: distance between the block states at t_k + delta and t_k.
+
+    All values come from one batched evaluation over the stacked block states.
+    """
     key = _check_measure(measure)
     if ell not in record.rdms:
         raise ValueError(f"subsystem size {ell} was not recorded")
     offset = record.grid_offset(delta)
-    fn = _MEASURE_FN[key]
     rdms = record.rdms[ell]
     n_pairs = max(len(rdms) - offset, 0)
-    values = np.array([fn(rdms[k + offset], rdms[k]) for k in range(n_pairs)])
+    values = np.zeros(0)
+    if n_pairs:
+        read, formula = _MEASURES[key]
+        stack = np.array([read(rho) for rho in rdms])
+        values = formula(stack[offset:], stack[:n_pairs])
     return DistanceSeries(
         measure=key,
         ell=ell,

@@ -454,11 +454,27 @@ def _write_csv(path: Path, header: str, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_manifest(out: Path, config: ExperimentConfig, status: str, **fields):
+    manifest = {
+        "software_version": __version__,
+        "seed": config.seed,
+        "config": asdict(config),
+        "status": status,
+        **fields,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 def run_quench_experiment(config: ExperimentConfig, workers: int = 1,
                           output_dir=None) -> int:
-    """Execute every sweep point and persist series/degrees/timescales/manifest."""
+    """Execute every sweep point and persist series/degrees/timescales/manifest.
+
+    The manifest says ``running`` until the outputs are written, so a run
+    that fails part-way never leaves an earlier run's success behind.
+    """
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _write_manifest(out, config, "running")
     points = _quench_points(config)
     jobs = [(config, quench_id, post) for quench_id, post in points]
     started = time.perf_counter()
@@ -482,15 +498,11 @@ def run_quench_experiment(config: ExperimentConfig, workers: int = 1,
     )
 
     aborted = any(res.aborted for res in results)
-    manifest = {
-        "software_version": __version__,
-        "seed": config.seed,
-        "config": asdict(config),
-        "status": "aborted" if aborted else "ok",
-        "wall_seconds": time.perf_counter() - started,
-        "runs": {res.quench_id: res.diagnostics for res in results},
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(
+        out, config, "aborted" if aborted else "ok",
+        wall_seconds=time.perf_counter() - started,
+        runs={res.quench_id: res.diagnostics for res in results},
+    )
     return EXIT_NUMERICAL if aborted else EXIT_OK
 
 

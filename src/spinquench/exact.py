@@ -136,7 +136,8 @@ def ed_rdm(state: DenseState, sites, time_stamp: float = 0.0) -> DensityMatrix:
     n_keep = len(sites)
     n_right = state.n_sites - n_left - n_keep
     psi = state.amplitudes.reshape(2**n_left, 2**n_keep, 2**n_right)
-    rho = np.einsum("aib,ajb->ij", psi, psi.conj(), optimize=True)
+    m = psi.transpose(1, 0, 2).reshape(2**n_keep, -1)
+    rho = m @ m.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(entries=rho, sites=sites, time_stamp=time_stamp)
 

@@ -21,7 +21,7 @@ smallest singular values within the truncation budget, then renormalise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -55,12 +55,15 @@ class DensityMatrix:
     """State of a contiguous block of sites: Hermitian, unit trace, positive.
 
     ``sites`` records which chain sites the block covers, ``time_stamp`` the
-    evolution time at which it was extracted.
+    evolution time at which it was extracted. The spectrum computed to check
+    positivity is kept (see ``spectrum``), so ``entries`` must not be changed
+    after construction.
     """
 
     entries: np.ndarray
     sites: tuple
     time_stamp: float = 0.0
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = self.entries
@@ -74,8 +77,11 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace {np.trace(rho)} is not 1")
-        if np.linalg.eigvalsh(rho)[0] < _EIG_FLOOR:
+        evals = np.linalg.eigvalsh(rho)
+        if evals[0] < _EIG_FLOOR:
             raise ValueError("density matrix has a significantly negative eigenvalue")
+        evals.flags.writeable = False
+        object.__setattr__(self, "_spectrum", evals)
 
     @property
     def dim(self) -> int:
@@ -86,8 +92,13 @@ class DensityMatrix:
         return len(self.sites)
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.entries)
+        """Eigenvalues in ascending order, as a read-only array.
+
+        Computed once, when the matrix is validated, and cached: distance
+        series read every RDM's spectrum from here instead of
+        re-diagonalising it for each pair.
+        """
+        return self._spectrum
 
 
 def reduce_density_matrix(dm: DensityMatrix, keep: tuple) -> DensityMatrix:
@@ -310,10 +321,10 @@ class MpsState:
         block = self._center_tensor(sites[0])
         for s in range(sites[0] + 1, sites[-1] + 1):
             block = np.tensordot(block, self.tensors[s], axes=(block.ndim - 1, 0))
-        dl = block.shape[0]
-        dr = block.shape[-1]
-        block = block.reshape(dl, 2 ** len(sites), dr)
-        rho = np.einsum("apb,aqb->pq", block, block.conj(), optimize=True)
+        # rows: the block's physical index; columns: both bond indices
+        dim = 2 ** len(sites)
+        m = block.reshape(block.shape[0], dim, -1).transpose(1, 0, 2).reshape(dim, -1)
+        rho = m @ m.conj().T
         rho = 0.5 * (rho + rho.conj().T)
         return DensityMatrix(entries=rho, sites=sites, time_stamp=time_stamp)
 

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .model import HamiltonianParams, build_hamiltonian, build_trotter_gates
-from .mps import MpsState, TruncationPolicy
+from .mps import RDM_SITE_CAP, MpsState, TruncationPolicy
 
 _GRID_SLACK = 1e-9
 _STALL_STEPS = 10
@@ -45,8 +45,6 @@ class QuenchProtocol:
             raise ValueError(f"record_stride must be at least 1, got {self.record_stride}")
         if self.pre.n_sites != self.post.n_sites:
             raise ValueError("pre- and post-quench chains must have the same size")
-        from .mps import RDM_SITE_CAP
-
         for ell in self.subsystem_sizes:
             if not 1 <= ell <= RDM_SITE_CAP:
                 raise ValueError(f"subsystem size {ell} outside 1..{RDM_SITE_CAP}")

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from spinquench.mps import DensityMatrix
-from spinquench.tebd import EvolutionRecord
+from spinquench.dmrg import DmrgSettings, ground_state
+from spinquench.model import HamiltonianParams, build_hamiltonian
+from spinquench.mps import DensityMatrix, TruncationPolicy
+from spinquench.tebd import EvolutionRecord, QuenchProtocol, evolve
 from spinquench.analysis import (
     DistanceSeries,
     degree,
@@ -85,6 +87,53 @@ def test_distance_axioms_on_random_states():
         tvd = total_variation_distance(rho, sigma)
         assert -1e-12 <= tvd <= 1 + 1e-12
         assert tvd <= td + 1e-10  # sorted-spectrum l1 is bounded by the trace norm
+
+
+@pytest.fixture(scope="module")
+def quench_record():
+    """Para -> ferro quench on 8 sites, blocks of 1-3 sites, 21 snapshots."""
+    pre = HamiltonianParams(0.2, 1.0, 0.0, 8)
+    post = HamiltonianParams(1.0, 0.1, 0.5, 8)
+    gs = ground_state(build_hamiltonian(pre), DmrgSettings(), seed=4)
+    protocol = QuenchProtocol(
+        pre=pre, post=post, t_max=2.0, tau=0.01, record_stride=10,
+        subsystem_sizes=(1, 2, 3), policy=TruncationPolicy(1e-9, 50),
+    )
+    return evolve(gs.state, protocol)
+
+
+def test_batched_series_equals_pairwise_loop(quench_record):
+    record = quench_record
+    pairwise = {"td": trace_distance, "tvd": total_variation_distance}
+    for measure, fn in pairwise.items():
+        for ell in (1, 2, 3):
+            rdms = record.rdms[ell]
+            for offset in (0, 7, record.n_times + 2):
+                series = distance_series(record, ell, offset * record.spacing, measure)
+                loop = np.array(
+                    [fn(rdms[k + offset], rdms[k]) for k in range(len(rdms) - offset)]
+                )
+                assert np.array_equal(series.values, loop)
+                assert len(series) == max(record.n_times - offset, 0)
+
+
+def test_density_matrix_spectrum_is_cached_and_read_only(quench_record):
+    for rho in quench_record.rdms[3][::5]:
+        spectrum = rho.spectrum()
+        assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.entries))
+        assert not spectrum.flags.writeable
+
+
+def test_tvd_series_rejects_spectrum_without_weight():
+    zero = np.zeros((2, 2), dtype=complex)
+    record = EvolutionRecord(
+        times=np.arange(3) * 0.1, spacing=0.1, rdms={1: [UP, zero, UP]}, blocks={1: (0,)},
+        energies=np.zeros(3), max_bond=[1] * 3, cumulative_discarded=np.zeros(3),
+    )
+    with pytest.raises(ValueError, match="no positive weight"):
+        distance_series(record, 1, 0.1, "tvd")
+    with pytest.raises(ValueError, match="no positive weight"):
+        total_variation_distance(UP, zero)
 
 
 def test_series_zero_separation_is_zero():

@@ -135,6 +135,24 @@ def test_rerun_is_bit_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_failed_rerun_does_not_leave_stale_success(tmp_path, monkeypatch):
+    config = load_config(write_config(tmp_path, BASE))
+    out = tmp_path / "out"
+    assert run_quench_experiment(config, output_dir=out) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+
+    def failing_evolve(*args, **kwargs):
+        raise RuntimeError("evolution failed")
+
+    monkeypatch.setattr("spinquench.cli.evolve", failing_evolve)
+    with pytest.raises(RuntimeError):
+        run_quench_experiment(config, output_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "running"
+    assert manifest["seed"] == 5
+    assert manifest["config"]["name"] == "demo"
+
+
 def test_horizon_below_step_flags_degrees(tmp_path):
     text = BASE.replace("t_max: 1.0", "t_max: 0.005").replace(
         "[0.1, 0.2, 0.3]", "[0.0, 0.1]"
