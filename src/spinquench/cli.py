@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace, asdict
@@ -407,11 +408,9 @@ def _analyse_record(config: ExperimentConfig, quench_id: str, record: EvolutionR
 
 
 def _run_point(args) -> PointResult:
-    config, quench_id, post = args
+    config, gs, quench_id, post = args
     result = PointResult(quench_id=quench_id)
     start = time.perf_counter()
-    gs = ground_state(build_hamiltonian(config.pre_params()), config.dmrg_settings(),
-                      seed=config.seed)
     record = evolve(gs.state, config.protocol(post))
     _analyse_record(config, quench_id, record, result)
     drift = 0.0
@@ -447,11 +446,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# (file name, header, PointResult attribute holding its rows)
+_CSV_FILES = (
+    ("series.csv", "quench_id,measure,ell,delta,t,value", "series_rows"),
+    ("degrees.csv", "quench_id,measure,ell,delta,degree,window_start,window_end", "degree_rows"),
+    ("timescales.csv", "quench_id,series_kind,ell,delta,mean_gap,n_extrema", "timescale_rows"),
+)
+
+
 def _write_csv(path: Path, header: str, rows):
-    with open(path, "w", newline="") as fh:
+    """Write under a temporary name, then rename: a reader never sees a partial file."""
+    partial = path.with_name(path.name + ".partial")
+    with open(partial, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    os.replace(partial, path)
 
 
 def _write_manifest(out: Path, config: ExperimentConfig, status: str, **fields):
@@ -469,38 +479,35 @@ def run_quench_experiment(config: ExperimentConfig, workers: int = 1,
                           output_dir=None) -> int:
     """Execute every sweep point and persist series/degrees/timescales/manifest.
 
-    The manifest says ``running`` until the outputs are written, so a run
-    that fails part-way never leaves an earlier run's success behind.
+    Every point is quenched from one pre-quench ground state, computed once.
+    The manifest says ``running``, and no CSV is present, until the outputs
+    are written, so a run that fails part-way never leaves an earlier run's
+    success or results behind.
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, config, "running")
-    points = _quench_points(config)
-    jobs = [(config, quench_id, post) for quench_id, post in points]
+    for name, _, _ in _CSV_FILES:
+        (out / name).unlink(missing_ok=True)
     started = time.perf_counter()
+    gs = ground_state(build_hamiltonian(config.pre_params()), config.dmrg_settings(),
+                      seed=config.seed)
+    ground_state_seconds = time.perf_counter() - started
+    jobs = [(config, gs, quench_id, post) for quench_id, post in _quench_points(config)]
     if workers > 1 and len(jobs) > 1:
         with Pool(processes=workers) as pool:
             results = pool.map(_run_point, jobs)
     else:
         results = [_run_point(job) for job in jobs]
 
-    _write_csv(
-        out / "series.csv", "quench_id,measure,ell,delta,t,value",
-        (row for res in results for row in res.series_rows),
-    )
-    _write_csv(
-        out / "degrees.csv", "quench_id,measure,ell,delta,degree,window_start,window_end",
-        (row for res in results for row in res.degree_rows),
-    )
-    _write_csv(
-        out / "timescales.csv", "quench_id,series_kind,ell,delta,mean_gap,n_extrema",
-        (row for res in results for row in res.timescale_rows),
-    )
+    for name, header, attr in _CSV_FILES:
+        _write_csv(out / name, header, (row for res in results for row in getattr(res, attr)))
 
     aborted = any(res.aborted for res in results)
     _write_manifest(
         out, config, "aborted" if aborted else "ok",
         wall_seconds=time.perf_counter() - started,
+        ground_state_seconds=ground_state_seconds,
         runs={res.quench_id: res.diagnostics for res in results},
     )
     return EXIT_NUMERICAL if aborted else EXIT_OK

@@ -324,3 +324,68 @@ def test_oversized_block_rejected_at_load(tmp_path, capsys, monkeypatch, sites, 
     assert main(["run", str(write_config(tmp_path, text)), "--output", str(out)]) == EXIT_CONFIG
     assert "'analysis.subsystem_sizes'" in capsys.readouterr().err
     assert not out.exists()
+
+
+SWEEP = BASE.replace("t_max: 1.0", "t_max: 0.5") + (
+    "\nsweep:\n  axis: post.h_z\n  values: [0.3, 0.6]\n"
+)
+
+
+def test_failed_rerun_removes_stale_csvs(tmp_path, monkeypatch):
+    config = load_config(write_config(tmp_path, BASE))
+    out = tmp_path / "out"
+    assert run_quench_experiment(config, output_dir=out) == EXIT_OK
+    csv_names = ("series.csv", "degrees.csv", "timescales.csv")
+    assert all((out / name).exists() for name in csv_names)
+
+    def failing_evolve(*args, **kwargs):
+        raise RuntimeError("evolution failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("spinquench.cli.evolve", failing_evolve)
+        with pytest.raises(RuntimeError):
+            run_quench_experiment(config, output_dir=out)
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+    assert not any((out / name).exists() for name in csv_names)
+
+    # a failure while a CSV is written leaves no file under its final name
+    def failing_fmt(value):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("spinquench.cli._fmt", failing_fmt)
+    with pytest.raises(OSError):
+        run_quench_experiment(config, output_dir=out)
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+    assert not any((out / name).exists() for name in csv_names)
+
+
+def test_sweep_computes_one_ground_state(tmp_path, monkeypatch):
+    from spinquench import cli
+
+    calls = []
+    real_ground_state = cli.ground_state
+
+    def counting_ground_state(*args, **kwargs):
+        calls.append(args)
+        return real_ground_state(*args, **kwargs)
+
+    monkeypatch.setattr("spinquench.cli.ground_state", counting_ground_state)
+    config = load_config(write_config(tmp_path, SWEEP))
+    out = tmp_path / "out"
+    assert run_quench_experiment(config, workers=1, output_dir=out) == EXIT_OK
+    assert len(calls) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ground_state_seconds"] > 0
+    runs = manifest["runs"].values()
+    assert len(runs) == 2
+    assert len({run["ground_energy"] for run in runs}) == 1
+    assert len({run["dmrg_sweeps"] for run in runs}) == 1
+
+
+def test_worker_count_does_not_change_outputs(tmp_path):
+    config = load_config(write_config(tmp_path, SWEEP))
+    out_1, out_2 = tmp_path / "w1", tmp_path / "w2"
+    assert run_quench_experiment(config, workers=1, output_dir=out_1) == EXIT_OK
+    assert run_quench_experiment(config, workers=2, output_dir=out_2) == EXIT_OK
+    for name in ("series.csv", "degrees.csv", "timescales.csv"):
+        assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes()
