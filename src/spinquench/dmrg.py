@@ -2,9 +2,10 @@
 
 The bond terms are compiled into a matrix product operator via an operator
 Schmidt decomposition of each 4x4 term, so the sweep machinery is the
-standard one: cached left/right environments, an iterative smallest-eigenpair
-solve on each two-site block, SVD split with truncation, and energy-change
-convergence across sweeps.
+standard one: cached left/right environments, a smallest-eigenpair solve on
+each two-site block (dense for small blocks, otherwise a numpy Lanczos with
+full reorthogonalisation), SVD split with truncation, and convergence on the
+change of the block energy across sweeps.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as sparse_linalg
 
 from .model import HamiltonianSpec
 from .mps import MpsState, TruncationPolicy, product_state
@@ -111,10 +111,47 @@ def _contract_right(env, site, w):
     return tmp.transpose(2, 0, 1)
 
 
+def _lanczos(matvec, v0, tol, maxiter):
+    """Smallest eigenpair of a Hermitian operator by Lanczos from ``v0``.
+
+    Every new Krylov vector is orthogonalised against all earlier ones. Stops
+    once the Ritz residual ``beta * |y_last|`` is at most ``tol * max(1, |E|)``
+    or after ``maxiter`` matvecs, returning the best Ritz pair so far; its
+    energy is the Rayleigh quotient of the returned unit vector.
+    """
+    dim = v0.size
+    basis = np.empty((min(maxiter, dim), dim), dtype=complex)
+    basis[0] = v0 / np.linalg.norm(v0)
+    alphas, betas = [], []
+    for k in range(len(basis)):
+        w = matvec(basis[k])
+        alphas.append(np.vdot(basis[k], w).real)
+        krylov = basis[: k + 1]
+        for _ in range(2):  # a second pass restores orthogonality lost to cancellation
+            w -= krylov.T @ np.conj(krylov @ w.conj())
+        beta = np.linalg.norm(w)
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        evals, evecs = np.linalg.eigh(tri)
+        energy, ritz = evals[0], evecs[:, 0]
+        if beta * abs(ritz[-1]) <= tol * max(1.0, abs(energy)) or k + 1 == len(basis):
+            break
+        betas.append(beta)
+        basis[k + 1] = w / beta
+    vec = ritz @ krylov
+    return float(energy), vec / np.linalg.norm(vec)
+
+
 def _solve_block(left_env, right_env, w1, w2, theta0, tol, maxiter):
     """Smallest eigenpair of the two-site effective Hamiltonian."""
     a, _, _, b = theta0.shape
     dim = a * 4 * b
+
+    if dim <= _DENSE_SOLVE_DIM:
+        heff = np.einsum(
+            "awA,wvpP,vuqQ,buB->apqb APQB", left_env, w1, w2, right_env, optimize=True
+        ).reshape(dim, dim)
+        evals, evecs = np.linalg.eigh(heff)
+        return float(evals[0]), evecs[:, 0].reshape(a, 2, 2, b)
 
     def matvec(vec):
         th = vec.reshape(a, 2, 2, b)
@@ -124,26 +161,8 @@ def _solve_block(left_env, right_env, w1, w2, theta0, tol, maxiter):
         t = np.tensordot(t, right_env, axes=((1, 3), (2, 1)))  # (bra, p_out, q_out, bra_r)
         return t.reshape(dim)
 
-    if dim <= _DENSE_SOLVE_DIM:
-        heff = np.einsum(
-            "awA,wvpP,vuqQ,buB->apqb APQB", left_env, w1, w2, right_env, optimize=True
-        ).reshape(dim, dim)
-        evals, evecs = np.linalg.eigh(heff)
-        return float(evals[0]), evecs[:, 0].reshape(a, 2, 2, b)
-
-    op = sparse_linalg.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-    v0 = theta0.reshape(dim)
-    try:
-        evals, evecs = sparse_linalg.eigsh(
-            op, k=1, which="SA", v0=v0, tol=tol, maxiter=maxiter
-        )
-        return float(evals[0]), evecs[:, 0].reshape(a, 2, 2, b)
-    except sparse_linalg.ArpackNoConvergence as err:
-        if len(err.eigenvalues) and err.eigenvectors.size:
-            return float(err.eigenvalues[0]), err.eigenvectors[:, 0].reshape(a, 2, 2, b)
-        # keep the current block; its Rayleigh quotient is still variational
-        energy = np.vdot(v0, matvec(v0)).real
-        return float(energy), theta0
+    energy, vec = _lanczos(matvec, theta0.reshape(dim), tol, maxiter)
+    return energy, vec.reshape(a, 2, 2, b)
 
 
 def _initial_state(hspec: HamiltonianSpec, seed: int) -> MpsState:
@@ -166,9 +185,10 @@ def ground_state(
 ) -> GroundStateResult:
     """Variational ground-state search by two-site sweeps.
 
-    Sweeps until the full-sweep energy changes by less than ``energy_tol``;
-    if the budget runs out first, the best state found is returned with
-    ``converged=False``.
+    Sweeps until the energy of the last block solved in a sweep changes by
+    less than ``energy_tol``; if the budget runs out first, the best state
+    found is returned with ``converged=False``. The returned energy is the
+    expectation value of the returned state.
     """
     settings = settings or DmrgSettings()
     n = hspec.n_sites
@@ -198,14 +218,14 @@ def ground_state(
             left_env[i + 1] = _contract_left(left_env[i], state.tensors[i], mpo[i])
         for i in range(n - 2, -1, -1):
             theta = np.tensordot(state.tensors[i], state.tensors[i + 1], axes=(2, 0))
-            _, theta = _solve_block(
+            block_energy, theta = _solve_block(
                 left_env[i], right_env[i + 1], mpo[i], mpo[i + 1],
                 theta, solver_tol, settings.local_solver_iters,
             )
             state.split_pair(i, theta, settings.policy, "left")
             right_env[i] = _contract_right(right_env[i + 1], state.tensors[i + 1], mpo[i + 1])
 
-        sweep_energies.append(state.copy().energy(hspec))
+        sweep_energies.append(block_energy)
         if len(sweep_energies) >= 2 and abs(sweep_energies[-1] - sweep_energies[-2]) < settings.energy_tol:
             converged = True
             break

@@ -3,7 +3,9 @@
 Exact Hamiltonians, ground states, time evolution and partial traces, used to
 cross-check the MPS pipeline on up to 12 sites. Basis convention: site 0 is
 the most significant bit of the computational-basis index, bit 0 meaning spin
-up (sz = +1); ``np.kron`` ordering follows the site order.
+up (sz = +1); ``np.kron`` ordering follows the site order. scipy is imported
+inside the functions that need it, so importing this module (and the ``run``
+command, which imports it) does not load scipy.
 """
 
 from __future__ import annotations
@@ -11,16 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from .model import HamiltonianParams, SX, SZ
 from .mps import DensityMatrix
 
 MAX_DENSE_SITES = 12
-
-_SPARSE_SX = sparse.csr_matrix(SX)
-_SPARSE_SZ = sparse.csr_matrix(SZ)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,22 +43,27 @@ def _check_size(n_sites: int):
 
 
 def _site_operator_sparse(op, site: int, n_sites: int):
+    import scipy.sparse as sparse
+
     left = sparse.identity(2**site, format="csr", dtype=complex)
     right = sparse.identity(2 ** (n_sites - site - 1), format="csr", dtype=complex)
     return sparse.kron(sparse.kron(left, op, format="csr"), right, format="csr")
 
 
 def _sparse_hamiltonian(params: HamiltonianParams):
+    import scipy.sparse as sparse
+
     n = params.n_sites
     dim = 2**n
+    sx, sz = sparse.csr_matrix(SX), sparse.csr_matrix(SZ)
     ham = sparse.csr_matrix((dim, dim), dtype=complex)
     for j in range(n - 1):
-        zj = _site_operator_sparse(_SPARSE_SZ, j, n)
-        zj1 = _site_operator_sparse(_SPARSE_SZ, j + 1, n)
+        zj = _site_operator_sparse(sz, j, n)
+        zj1 = _site_operator_sparse(sz, j + 1, n)
         ham = ham - params.coupling * (zj @ zj1)
     for j in range(n):
-        ham = ham - params.h_x * _site_operator_sparse(_SPARSE_SX, j, n)
-        ham = ham - params.h_z * _site_operator_sparse(_SPARSE_SZ, j, n)
+        ham = ham - params.h_x * _site_operator_sparse(sx, j, n)
+        ham = ham - params.h_z * _site_operator_sparse(sz, j, n)
     return ham
 
 
@@ -83,6 +85,8 @@ def ed_ground_state(params: HamiltonianParams):
         evals, evecs = np.linalg.eigh(ham.toarray())
         energy, vec = evals[0], evecs[:, 0]
     else:
+        import scipy.sparse.linalg as sparse_linalg
+
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
         evals, evecs = sparse_linalg.eigsh(ham, k=1, which="SA", v0=v0)
         energy, vec = evals[0], evecs[:, 0]

@@ -1,6 +1,8 @@
 """Config validation, experiment runner outputs, oracle check, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -389,3 +391,10 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     assert run_quench_experiment(config, workers=2, output_dir=out_2) == EXIT_OK
     for name in ("series.csv", "degrees.csv", "timescales.csv"):
         assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes()
+
+
+def test_run_path_does_not_import_scipy():
+    code = "import sys, spinquench.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"

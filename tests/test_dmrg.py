@@ -5,6 +5,7 @@ import pytest
 
 from spinquench.model import SX, SZ, HamiltonianParams, build_hamiltonian
 from spinquench.dmrg import DmrgSettings, ground_state, _bond_factors, _mpo_from_bond_terms
+from spinquench.dmrg import _lanczos
 from spinquench.exact import ed_ground_state
 
 
@@ -107,3 +108,28 @@ def test_settings_validation():
         DmrgSettings(energy_tol=0.0)
     with pytest.raises(ValueError):
         DmrgSettings(local_solver_iters=0)
+
+
+def _random_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return m + m.conj().T, rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+
+def test_lanczos_matches_dense_eigensolver():
+    herm, v0 = _random_hermitian(300, 53)
+    evals, evecs = np.linalg.eigh(herm)
+    energy, vec = _lanczos(lambda v: herm @ v, v0, 1e-12, 300)
+    assert abs(energy - evals[0]) <= 1e-10
+    assert abs(np.vdot(evecs[:, 0], vec)) >= 1 - 1e-6
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lanczos_out_of_iterations_returns_variational_pair():
+    herm, v0 = _random_hermitian(300, 59)
+    lowest = np.linalg.eigvalsh(herm)[0]
+    energy, vec = _lanczos(lambda v: herm @ v, v0, 1e-12, 2)
+    rayleigh = np.vdot(vec, herm @ vec).real
+    assert np.isfinite(energy) and np.isfinite(rayleigh)
+    assert rayleigh == pytest.approx(energy, abs=1e-10)
+    assert rayleigh >= lowest
