@@ -1,11 +1,11 @@
 """Dense state-vector reference for small chains.
 
 Exact Hamiltonians, ground states, time evolution and partial traces, used to
-cross-check the MPS pipeline on up to 12 sites. Basis convention: site 0 is
-the most significant bit of the computational-basis index, bit 0 meaning spin
-up (sz = +1); ``np.kron`` ordering follows the site order. scipy is imported
-inside the functions that need it, so importing this module (and the ``run``
-command, which imports it) does not load scipy.
+cross-check the MPS pipeline on up to 12 sites, with numpy alone. Basis
+convention: site 0 is the most significant bit of the computational-basis
+index, bit 0 meaning spin up (sz = +1); ``np.kron`` ordering follows the site
+order. In this basis the Hamiltonian is a real symmetric matrix, built
+directly from the bits of the basis index and diagonalised by ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HamiltonianParams, SX, SZ
+from .model import HamiltonianParams
 from .mps import DensityMatrix
 
 MAX_DENSE_SITES = 12
@@ -37,40 +37,25 @@ class DenseState:
             raise ValueError("state is not normalised")
 
 
-def _check_size(n_sites: int):
-    if n_sites > MAX_DENSE_SITES:
-        raise ValueError(f"dense reference is capped at {MAX_DENSE_SITES} sites, got {n_sites}")
-
-
-def _site_operator_sparse(op, site: int, n_sites: int):
-    import scipy.sparse as sparse
-
-    left = sparse.identity(2**site, format="csr", dtype=complex)
-    right = sparse.identity(2 ** (n_sites - site - 1), format="csr", dtype=complex)
-    return sparse.kron(sparse.kron(left, op, format="csr"), right, format="csr")
-
-
-def _sparse_hamiltonian(params: HamiltonianParams):
-    import scipy.sparse as sparse
-
-    n = params.n_sites
-    dim = 2**n
-    sx, sz = sparse.csr_matrix(SX), sparse.csr_matrix(SZ)
-    ham = sparse.csr_matrix((dim, dim), dtype=complex)
-    for j in range(n - 1):
-        zj = _site_operator_sparse(sz, j, n)
-        zj1 = _site_operator_sparse(sz, j + 1, n)
-        ham = ham - params.coupling * (zj @ zj1)
-    for j in range(n):
-        ham = ham - params.h_x * _site_operator_sparse(sx, j, n)
-        ham = ham - params.h_z * _site_operator_sparse(sz, j, n)
-    return ham
-
-
 def ed_hamiltonian(params: HamiltonianParams) -> np.ndarray:
-    """Dense Hamiltonian matrix; Hermitian by construction."""
-    _check_size(params.n_sites)
-    return _sparse_hamiltonian(params).toarray()
+    """Dense real symmetric Hamiltonian matrix, built from the bits of the basis index.
+
+    sz_j of basis state i is +1 or -1 as bit ``n-1-j`` of i is 0 or 1, so the
+    sz.sz and h_z terms are diagonal; sx_j flips that bit, so the h_x term of
+    site j sits at ``H[i, i ^ (1 << (n-1-j))]``.
+    """
+    n = params.n_sites
+    if n > MAX_DENSE_SITES:
+        raise ValueError(f"dense reference is capped at {MAX_DENSE_SITES} sites, got {n}")
+    index = np.arange(2**n)
+    masks = 1 << np.arange(n - 1, -1, -1)  # site j <-> bit n-1-j
+    spins = np.where(index[:, None] & masks, -1.0, 1.0)
+    diagonal = (-params.coupling * np.sum(spins[:, :-1] * spins[:, 1:], axis=1)
+                - params.h_z * np.sum(spins, axis=1))
+    ham = np.diag(diagonal)
+    for mask in masks:
+        ham[index, index ^ mask] = -params.h_x
+    return ham
 
 
 def ed_ground_state(params: HamiltonianParams):
@@ -78,21 +63,10 @@ def ed_ground_state(params: HamiltonianParams):
 
     Returns ``(DenseState, energy)``.
     """
-    _check_size(params.n_sites)
-    ham = _sparse_hamiltonian(params)
-    dim = ham.shape[0]
-    if dim <= 64:
-        evals, evecs = np.linalg.eigh(ham.toarray())
-        energy, vec = evals[0], evecs[:, 0]
-    else:
-        import scipy.sparse.linalg as sparse_linalg
-
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        evals, evecs = sparse_linalg.eigsh(ham, k=1, which="SA", v0=v0)
-        energy, vec = evals[0], evecs[:, 0]
-    vec = _fix_phase(vec)
+    evals, evecs = np.linalg.eigh(ed_hamiltonian(params))
+    vec = _fix_phase(evecs[:, 0])
     vec = vec / np.linalg.norm(vec)
-    return DenseState(amplitudes=vec.astype(complex), n_sites=params.n_sites), float(energy)
+    return DenseState(amplitudes=vec.astype(complex), n_sites=params.n_sites), float(evals[0])
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -105,23 +79,24 @@ class DensePropagator:
     """exp(-i H t) applied through a cached full eigendecomposition of H."""
 
     def __init__(self, params: HamiltonianParams):
-        _check_size(params.n_sites)
         self.params = params
-        self._evals, self._evecs = np.linalg.eigh(ed_hamiltonian(params))
+        self._evals, evecs = np.linalg.eigh(ed_hamiltonian(params))
+        # The eigenvectors of the real H are real, so their adjoint is their
+        # transpose; cast them once here, not on every product with a state.
+        self._evecs = evecs.astype(complex)
 
     def evolve(self, state: DenseState, t: float) -> DenseState:
         if state.n_sites != self.params.n_sites:
             raise ValueError("state and Hamiltonian sizes differ")
         if not np.isfinite(t):
             raise ValueError(f"evolution time must be finite, got {t}")
-        coeffs = self._evecs.conj().T @ state.amplitudes
+        coeffs = self._evecs.T @ state.amplitudes
         amps = self._evecs @ (np.exp(-1j * self._evals * t) * coeffs)
         amps = amps / np.linalg.norm(amps)
         return DenseState(amplitudes=amps, n_sites=state.n_sites)
 
     def energy(self, state: DenseState) -> float:
-        coeffs = self._evecs.conj().T @ state.amplitudes
-        return float(np.sum(self._evals * np.abs(coeffs) ** 2))
+        return float(np.sum(self._evals * np.abs(self._evecs.T @ state.amplitudes) ** 2))
 
 
 def ed_evolve(state: DenseState, params: HamiltonianParams, t: float) -> DenseState:

@@ -13,6 +13,7 @@ from spinquench.cli import (
     EXIT_ORACLE,
     ConfigError,
     load_config,
+    _CSV_FILES,
     main,
     run_oracle_check,
     run_quench_experiment,
@@ -290,6 +291,17 @@ def test_oracle_check_rejects_large_chains(tmp_path):
         run_oracle_check(config, output_dir=tmp_path / "out")
 
 
+def test_oracle_check_site_cap_is_a_config_error(tmp_path, capsys):
+    text = BASE.replace("sites: 6", "sites: 11")
+    out = tmp_path / "out"
+    assert main(["oracle-check", str(write_config(tmp_path, text)), "--output", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: oracle-check needs system.sites <= 10, got 11" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -361,6 +373,33 @@ def test_failed_rerun_removes_stale_csvs(tmp_path, monkeypatch):
     assert not any((out / name).exists() for name in csv_names)
 
 
+def test_failed_final_manifest_write_keeps_running_manifest(tmp_path, monkeypatch):
+    resource = pytest.importorskip("resource")
+    from spinquench import cli
+
+    config = load_config(write_config(tmp_path, BASE))
+    out = tmp_path / "out"
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    real_write_csv = cli._write_csv
+
+    # After the last CSV, cap the size of any file this process writes, so the
+    # final manifest write fails part-way, as on a full disk.
+    def write_csv_then_cap_file_size(path, header, rows):
+        real_write_csv(path, header, rows)
+        if path.name == _CSV_FILES[-1][0]:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (256, limits[1]))
+
+    monkeypatch.setattr("spinquench.cli._write_csv", write_csv_then_cap_file_size)
+    try:
+        with pytest.raises(OSError):
+            run_quench_experiment(config, output_dir=out)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "running"
+    assert manifest["seed"] == 5
+
+
 def test_sweep_computes_one_ground_state(tmp_path, monkeypatch):
     from spinquench import cli
 
@@ -398,3 +437,16 @@ def test_run_path_does_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+
+
+def test_oracle_check_does_not_import_scipy(tmp_path):
+    config = write_config(tmp_path, BASE.replace("sites: 6", "sites: 4"))
+    argv = ["oracle-check", str(config), "--output", str(tmp_path / "out")]
+    code = (
+        "import sys; from spinquench.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, [m for m in sys.modules if m.startswith('scipy')])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"

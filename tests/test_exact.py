@@ -49,6 +49,26 @@ def test_hamiltonian_matches_bond_embedding():
     assert np.max(np.abs(total - ed_hamiltonian(params))) <= 1e-12
 
 
+@pytest.mark.parametrize("n_sites", range(1, 7))
+def test_hamiltonian_matches_kron_build(n_sites):
+    rng = np.random.default_rng(40 + n_sites)
+    coupling, h_x, h_z = rng.normal(size=3)
+    sx, sz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+
+    def on_site(op, j):
+        return np.kron(np.kron(np.eye(2**j), op), np.eye(2 ** (n_sites - j - 1)))
+
+    reference = np.zeros((2**n_sites, 2**n_sites))
+    for j in range(n_sites - 1):
+        reference -= coupling * on_site(sz, j) @ on_site(sz, j + 1)
+    for j in range(n_sites):
+        reference -= h_x * on_site(sx, j) + h_z * on_site(sz, j)
+    ham = ed_hamiltonian(HamiltonianParams(coupling, h_x, h_z, n_sites))
+    assert ham.dtype == np.float64
+    assert np.array_equal(ham, ham.T)
+    assert np.max(np.abs(ham - reference)) <= 1e-12
+
+
 def test_ground_state_decoupled_transverse():
     state, energy = ed_ground_state(HamiltonianParams(0.0, 1.0, 0.0, 4))
     assert energy == pytest.approx(-4.0, abs=1e-10)
