@@ -13,7 +13,6 @@ from spinquench.cli import (
     EXIT_ORACLE,
     ConfigError,
     load_config,
-    _CSV_FILES,
     main,
     run_oracle_check,
     run_quench_experiment,
@@ -386,7 +385,7 @@ def test_failed_final_manifest_write_keeps_running_manifest(tmp_path, monkeypatc
     # final manifest write fails part-way, as on a full disk.
     def write_csv_then_cap_file_size(path, header, rows):
         real_write_csv(path, header, rows)
-        if path.name == _CSV_FILES[-1][0]:
+        if path.name == cli._CSV_FILES[-1][0]:
             resource.setrlimit(resource.RLIMIT_FSIZE, (256, limits[1]))
 
     monkeypatch.setattr("spinquench.cli._write_csv", write_csv_then_cap_file_size)
