@@ -452,11 +452,18 @@ _CSV_FILES = (
 
 
 def _write_atomically(path: Path, chunks):
-    """Write under a temporary name, then rename: a reader never sees a partial file."""
+    """Write under a temporary name, then rename: a reader never sees a partial file.
+
+    A failed write removes the temporary file and re-raises.
+    """
     partial = path.with_name(path.name + ".partial")
-    with open(partial, "w", newline="") as fh:
-        fh.writelines(chunks)
-    os.replace(partial, path)
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path: Path, header: str, rows):

@@ -5,8 +5,10 @@ centered block density matrices, the energy, the largest bond dimension and
 the accumulated discarded weight every ``record_stride`` steps (the t = 0
 snapshot always included). The state is brought into the MPS Schmidt form
 once, before the first snapshot, and stays in it: every gate updates its own
-bond in place, so gates of a layer may run in any order, and each snapshot
-reads local contractions without re-gauging the chain.
+bond in place, so the gates of a layer may run in any order, and each snapshot
+reads local contractions without re-gauging the chain. Each layer's gates are
+stacked once per run, and a layer is applied by one
+``MpsState.apply_gate_layer`` call, which batches the bonds that share a shape.
 """
 
 from __future__ import annotations
@@ -122,6 +124,8 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     hspec = build_hamiltonian(protocol.post)
     scheme = build_trotter_gates(hspec, protocol.tau)
     policy = protocol.policy
+    layers = [(tuple(bond for bond, _ in layer), np.array([gate for _, gate in layer]))
+              for layer in scheme.gate_layers]
     blocks = {ell: centered_block(n, ell) for ell in protocol.subsystem_sizes}
 
     state = initial.copy().to_schmidt_form()
@@ -153,8 +157,8 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
 
     for step in range(1, n_steps + 1):
         step_discarded = 0.0
-        for layer in scheme.gate_layers:
-            step_discarded += _apply_layer(state, layer, policy)
+        for bonds, gates in layers:
+            step_discarded += state.apply_gate_layer(bonds, gates, policy)
         total_discarded += step_discarded
 
         if max(state.bond_dims) >= policy.chi_max and step_discarded > _STALL_FACTOR * policy.cutoff:
@@ -185,11 +189,3 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
         aborted=aborted,
         abort_reason=abort_reason,
     )
-
-
-def _apply_layer(state: MpsState, layer, policy: TruncationPolicy) -> float:
-    """Apply one layer of commuting bond gates to a state in the Schmidt form."""
-    discarded = 0.0
-    for bond, gate in layer:
-        discarded += state.apply_two_site_gate(gate, bond, policy)
-    return discarded

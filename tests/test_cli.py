@@ -399,6 +399,33 @@ def test_failed_final_manifest_write_keeps_running_manifest(tmp_path, monkeypatc
     assert manifest["seed"] == 5
 
 
+def test_failed_final_manifest_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    resource = pytest.importorskip("resource")
+    from spinquench import cli
+
+    config = load_config(write_config(tmp_path, BASE))
+    out = tmp_path / "out"
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    real_write_csv = cli._write_csv
+
+    # As above: after the last CSV, a file-size cap makes the final manifest
+    # write fail part-way.
+    def write_csv_then_cap_file_size(path, header, rows):
+        real_write_csv(path, header, rows)
+        if path.name == cli._CSV_FILES[-1][0]:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (256, limits[1]))
+
+    monkeypatch.setattr("spinquench.cli._write_csv", write_csv_then_cap_file_size)
+    try:
+        with pytest.raises(OSError):
+            run_quench_experiment(config, output_dir=out)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+    assert not (out / "manifest.json.partial").exists()
+    assert not list(out.glob("*.partial"))
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
 def test_sweep_computes_one_ground_state(tmp_path, monkeypatch):
     from spinquench import cli
 

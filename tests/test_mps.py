@@ -376,3 +376,97 @@ def test_truncation_rank_matches_loop():
             assert discarded == ref_discarded or (
                 math.isnan(discarded) and math.isnan(ref_discarded)
             )
+
+
+def test_truncation_rank_rows_match_loop():
+    rng = np.random.default_rng(5)
+    rows = np.array([
+        [0.7, 0.5, 0.4, 0.3, 0.2, 0.1],  # all kept at a small cutoff
+        [0.9, 0.3, 1e-7, 1e-9, 0.0, 0.0],  # exact zeros in the tail
+        np.sort(rng.random(6))[::-1] ** 8,
+        [0.9, np.nan, 1e-3, 1e-9, 0.0, 0.0],  # a failed decomposition
+        [0.0] * 6,
+    ])
+    policies = [
+        TruncationPolicy(cutoff=0.0, chi_max=4096),
+        TruncationPolicy(cutoff=1e-9, chi_max=50),
+        TruncationPolicy(cutoff=1e-3, chi_max=50),
+        TruncationPolicy(cutoff=0.0, chi_max=2),  # chi_max binding
+        TruncationPolicy(cutoff=1.0, chi_max=3),
+    ]
+    for policy in policies:
+        keep, discarded = _truncation_rank(rows, policy)
+        assert keep.shape == discarded.shape == (len(rows),)
+        for row, k, d in zip(rows, keep, discarded):
+            ref_keep, ref_discarded = reference_truncation_rank(row, policy)
+            assert k == ref_keep
+            assert d == ref_discarded or (math.isnan(d) and math.isnan(ref_discarded))
+
+
+def uneven_schmidt_state(rng):
+    """12 sites, bonds of dimension 2 at the ends and 4 inside, in the Schmidt form."""
+    dims = [1, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2, 1]
+    tensors = [rng.normal(size=(dims[j], 2, dims[j + 1]))
+               + 1j * rng.normal(size=(dims[j], 2, dims[j + 1])) for j in range(12)]
+    return MpsState(tensors).to_schmidt_form()
+
+
+@pytest.mark.parametrize("policy", [
+    TruncationPolicy(cutoff=1e-9, chi_max=50),
+    TruncationPolicy(cutoff=1e-2, chi_max=50),  # rows of one shape keep different counts
+    TruncationPolicy(cutoff=1e-9, chi_max=3),  # chi_max binds
+])
+def test_gate_layer_matches_gates_one_by_one(policy, monkeypatch):
+    rng = np.random.default_rng(17)
+    layered = uneven_schmidt_state(rng)
+    single = layered.copy()
+    paths = {"stacked": 0, "lone": 0}
+    stack_keeps = []
+    stack, lone, rank = MpsState._apply_gate_stack, MpsState.apply_two_site_gate, _truncation_rank
+
+    def counting_stack(self, *args):
+        paths["stacked"] += 1
+        return stack(self, *args)
+
+    def counting_lone(self, *args):
+        paths["lone"] += 1
+        return lone(self, *args)
+
+    def recording_rank(values, policy):
+        keep, discarded = rank(values, policy)
+        if values.ndim == 2:
+            stack_keeps.append(set(keep.tolist()))
+        return keep, discarded
+
+    for layer in [(0, 2, 4, 6, 8, 10), (1, 3, 5, 7, 9)] * 3:
+        gates = np.array([random_gate(rng) for _ in layer])
+        with monkeypatch.context() as m:
+            m.setattr(MpsState, "_apply_gate_stack", counting_stack)
+            m.setattr(MpsState, "apply_two_site_gate", counting_lone)
+            m.setattr("spinquench.mps._truncation_rank", recording_rank)
+            weight = layered.apply_gate_layer(layer, gates, policy)
+        expected = 0.0
+        for bond, gate in zip(layer, gates):
+            expected += single.apply_two_site_gate(gate, bond, policy)
+        assert weight == expected
+        for mine, theirs in zip(layered.tensors, single.tensors):
+            assert np.array_equal(mine, theirs)
+        for mine, theirs in zip(layered.schmidt_values, single.schmidt_values):
+            assert np.array_equal(mine, theirs)
+    # the first layers mix a stacked group with lone bonds
+    assert paths["stacked"] > 0 and paths["lone"] > 0
+    if policy.chi_max == 3:
+        assert max(layered.bond_dims) == 3
+    if policy.cutoff == 1e-2:
+        assert any(len(keeps) > 1 for keeps in stack_keeps)
+
+
+def test_gate_layer_rejects_overlapping_bonds_and_centre_form():
+    state = all_plus_state(6)
+    gates = np.array([np.eye(4, dtype=complex)] * 2)
+    with pytest.raises(ValueError, match="Schmidt form"):
+        state.apply_gate_layer((0, 2), gates, TruncationPolicy())
+    state.to_schmidt_form()
+    for bonds in [(0, 1), (2, 2), (3, 5), (-1, 2)]:
+        with pytest.raises(ValueError, match="two apart"):
+            state.apply_gate_layer(bonds, gates, TruncationPolicy())

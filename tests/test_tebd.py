@@ -188,3 +188,42 @@ def test_evolve_regauges_at_most_once(monkeypatch):
     assert record.n_times == 6
     assert max(record.max_bond) > 1
     assert len(calls) <= 1
+
+
+def test_evolve_stacks_gates_and_matches_per_gate_record(monkeypatch):
+    n = 20
+    protocol = QuenchProtocol(
+        pre=HamiltonianParams(0.2, 1.0, 0.0, n), post=HamiltonianParams(1.0, 0.1, 0.5, n),
+        t_max=0.5, tau=0.01, record_stride=10, subsystem_sizes=(1, 2, 3, 4),
+        policy=TruncationPolicy(1e-9, 50),
+    )
+    calls = []
+    original = MpsState.apply_two_site_gate
+
+    def counting(self, gate, left_site, policy):
+        calls.append(left_site)
+        return original(self, gate, left_site, policy)
+
+    def one_by_one(self, bonds, gates, policy):
+        total = 0.0
+        for bond, gate in zip(bonds, gates):
+            total += self.apply_two_site_gate(gate, bond, policy)
+        return total
+
+    monkeypatch.setattr(MpsState, "apply_two_site_gate", counting)
+    stacked = evolve(all_plus_state(n), protocol)
+    stacked_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(MpsState, "apply_gate_layer", one_by_one)
+    reference = evolve(all_plus_state(n), protocol)
+    gates_applied = len(calls)
+
+    assert gates_applied == 50 * (10 + 9 + 10)
+    assert stacked_calls < gates_applied
+    assert max(stacked.max_bond) > 1
+    assert stacked.max_bond == reference.max_bond
+    for field in ("times", "energies", "cumulative_discarded"):
+        assert np.array_equal(getattr(stacked, field), getattr(reference, field))
+    for ell in protocol.subsystem_sizes:
+        for mine, theirs in zip(stacked.rdms[ell], reference.rdms[ell], strict=True):
+            assert np.array_equal(mine.entries, theirs.entries)
