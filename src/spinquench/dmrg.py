@@ -1,11 +1,12 @@
 """Two-site DMRG ground-state search for nearest-neighbour bond Hamiltonians.
 
-The bond terms are compiled into a matrix product operator via an operator
-Schmidt decomposition of each 4x4 term, so the sweep machinery is the
-standard one: cached left/right environments, a smallest-eigenpair solve on
-each two-site block (dense for small blocks, otherwise a numpy Lanczos with
-full reorthogonalisation), SVD split with truncation, and convergence on the
-change of the block energy across sweeps.
+Each bond term is split into on-site parts and a remainder whose Kronecker
+factors (an operator Schmidt decomposition) alone get internal MPO states, so
+the Ising chain has MPO width 3. The sweeps are the standard ones: cached
+left/right environments, a smallest-eigenpair solve on each two-site block
+from the halves L.W and W.R (dense for small blocks, otherwise a numpy Lanczos
+with full reorthogonalisation), SVD split with truncation, and convergence on
+the change of the block energy across sweeps.
 """
 
 from __future__ import annotations
@@ -47,51 +48,45 @@ class GroundStateResult:
 
 
 def _bond_factors(term: np.ndarray):
-    """Split a two-site operator into Kronecker factors, term = sum_k A_k (x) B_k."""
-    resh = term.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    u, s, vh = np.linalg.svd(resh)
-    factors = []
-    for k in range(len(s)):
-        if s[k] <= _FACTOR_RANK_TOL:
-            break
-        scale = np.sqrt(s[k])
-        factors.append((scale * u[:, k].reshape(2, 2), scale * vh[k, :].reshape(2, 2)))
-    return factors
+    """Split a two-site operator as term = sum_k A_k (x) B_k; returns the stacks A, B."""
+    u, s, vh = np.linalg.svd(term.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
+    scale = np.sqrt(s[s > _FACTOR_RANK_TOL])
+    rank = len(scale)
+    first = (u[:, :rank] * scale).T.reshape(rank, 2, 2)
+    return first, (scale[:, None] * vh[:rank]).reshape(rank, 2, 2)
 
 
 def _mpo_from_bond_terms(hspec: HamiltonianSpec):
     """MPO tensors with legs (left, right, bra phys, ket phys).
 
-    Internal states per bond: 0 = no operator placed yet, 1..r = first factor
-    of the bond term placed, last = term completed.
+    Each bond term is split as T = X (x) 1 + 1 (x) Y + R with X = Tr_R(T)/2 -
+    Tr(T)/4 and Y = Tr_L(T)/2, so R has zero partial traces. X and Y join the
+    on-site operator of their site on the ready -> done entry. Internal states
+    per bond: 0 = ready, 1..r = first Kronecker factor of R placed, last =
+    done; the Ising bond has r = 1, so width 3 (2 at J = 0).
     """
     n = hspec.n_sites
-    factors = [_bond_factors(t) for t in hspec.bond_terms]
     eye = np.eye(2, dtype=complex)
+    onsite = np.zeros((n, 2, 2), dtype=complex)
+    no_factors = (np.zeros((0, 2, 2)),) * 2
+    factors = [no_factors]  # factors[i]: the bond left of site i
+    for i, term in enumerate(hspec.bond_terms):
+        t4 = term.reshape(2, 2, 2, 2)
+        x = np.trace(t4, axis1=1, axis2=3) / 2 - np.trace(term) / 4 * eye
+        y = np.trace(t4, axis1=0, axis2=2) / 2
+        onsite[i] += x
+        onsite[i + 1] += y
+        factors.append(_bond_factors(term - np.kron(x, eye) - np.kron(eye, y)))
+    factors.append(no_factors)
     tensors = []
     for i in range(n):
-        left_rank = 0 if i == 0 else len(factors[i - 1])
-        right_rank = 0 if i == n - 1 else len(factors[i])
-        wl = 1 if i == 0 else left_rank + 2
-        wr = 1 if i == n - 1 else right_rank + 2
-        w = np.zeros((wl, wr, 2, 2), dtype=complex)
-        ready, done_l, done_r = 0, wl - 1, wr - 1
-        if i == 0:
-            for k, (a, _) in enumerate(factors[0]):
-                w[ready, 1 + k] = a
-            w[ready, ready] = eye
-        elif i == n - 1:
-            for k, (_, b) in enumerate(factors[i - 1]):
-                w[1 + k, done_r] = b
-            w[done_l, done_r] = eye
-        else:
-            w[ready, ready] = eye
-            w[done_l, done_r] = eye
-            for k, (a, _) in enumerate(factors[i]):
-                w[ready, 1 + k] = a
-            for k, (_, b) in enumerate(factors[i - 1]):
-                w[1 + k, done_r] = b
-        tensors.append(w)
+        (_, left), (right, _) = factors[i], factors[i + 1]
+        w = np.zeros((len(left) + 2, len(right) + 2, 2, 2), dtype=complex)
+        w[0, 0] = w[-1, -1] = eye
+        w[0, -1] = onsite[i]
+        w[0, 1:-1] = right
+        w[1:-1, -1] = left
+        tensors.append(w[:1] if i == 0 else w[:, -1:] if i == n - 1 else w)  # start ready, end done
     return tensors
 
 
@@ -120,46 +115,49 @@ def _lanczos(matvec, v0, tol, maxiter):
     energy is the Rayleigh quotient of the returned unit vector.
     """
     dim = v0.size
-    basis = np.empty((min(maxiter, dim), dim), dtype=complex)
+    size = min(maxiter, dim)
+    basis = np.empty((size, dim), dtype=complex)
+    tri = np.zeros((size, size))
     basis[0] = v0 / np.linalg.norm(v0)
-    alphas, betas = [], []
-    for k in range(len(basis)):
+    for k in range(size):
         w = matvec(basis[k])
-        alphas.append(np.vdot(basis[k], w).real)
+        tri[k, k] = np.vdot(basis[k], w).real
         krylov = basis[: k + 1]
         for _ in range(2):  # a second pass restores orthogonality lost to cancellation
             w -= krylov.T @ np.conj(krylov @ w.conj())
         beta = np.linalg.norm(w)
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        evals, evecs = np.linalg.eigh(tri)
+        evals, evecs = np.linalg.eigh(tri[: k + 1, : k + 1])
         energy, ritz = evals[0], evecs[:, 0]
-        if beta * abs(ritz[-1]) <= tol * max(1.0, abs(energy)) or k + 1 == len(basis):
+        if beta * abs(ritz[-1]) <= tol * max(1.0, abs(energy)) or k + 1 == size:
             break
-        betas.append(beta)
+        tri[k, k + 1] = tri[k + 1, k] = beta
         basis[k + 1] = w / beta
     vec = ritz @ krylov
     return float(energy), vec / np.linalg.norm(vec)
 
 
 def _solve_block(left_env, right_env, w1, w2, theta0, tol, maxiter):
-    """Smallest eigenpair of the two-site effective Hamiltonian."""
+    """Smallest eigenpair of the two-site effective Hamiltonian.
+
+    The halves L.W1 and W2.R are contracted once per block, laid out so that
+    a matvec is two matrix products and a small block's dense matrix is one
+    contraction of the halves over their shared MPO bond.
+    """
     a, _, _, b = theta0.shape
     dim = a * 4 * b
+    lw = np.tensordot(left_env, w1, axes=(1, 0)).transpose(0, 3, 2, 1, 4)  # (bra, p_out, v, ket, p)
+    wr = np.tensordot(w2, right_env, axes=(1, 1)).transpose(0, 2, 4, 1, 3)  # (v, q, ket_r, q_out, bra_r)
 
     if dim <= _DENSE_SOLVE_DIM:
-        heff = np.einsum(
-            "awA,wvpP,vuqQ,buB->apqb APQB", left_env, w1, w2, right_env, optimize=True
-        ).reshape(dim, dim)
-        evals, evecs = np.linalg.eigh(heff)
+        heff = np.tensordot(lw, wr, axes=(2, 0)).transpose(0, 1, 6, 7, 2, 3, 4, 5)
+        evals, evecs = np.linalg.eigh(heff.reshape(dim, dim))
         return float(evals[0]), evecs[:, 0].reshape(a, 2, 2, b)
 
+    lw = lw.reshape(-1, 2 * a)
+    wr = wr.reshape(-1, 2 * b)
+
     def matvec(vec):
-        th = vec.reshape(a, 2, 2, b)
-        t = np.tensordot(left_env, th, axes=(2, 0))  # (bra, w, p, q, ket_r)
-        t = np.tensordot(t, w1, axes=((1, 2), (0, 3)))  # (bra, q, ket_r, v, p_out)
-        t = np.tensordot(t, w2, axes=((3, 1), (0, 3)))  # (bra, ket_r, p_out, u, q_out)
-        t = np.tensordot(t, right_env, axes=((1, 3), (2, 1)))  # (bra, p_out, q_out, bra_r)
-        return t.reshape(dim)
+        return ((lw @ vec.reshape(2 * a, 2 * b)).reshape(2 * a, -1) @ wr).reshape(dim)
 
     energy, vec = _lanczos(matvec, theta0.reshape(dim), tol, maxiter)
     return energy, vec.reshape(a, 2, 2, b)

@@ -209,10 +209,15 @@ def test_criterion_5_directional_asymmetry(headline_records):
     ratios = {ell: forward[ell] / backward[ell] for ell in SIZES}
     passed = all(r >= 10.0 for r in ratios.values())
     detail = ", ".join(f"l={ell}: {r:.0f}x" for ell, r in ratios.items())
+    runs = ", ".join(
+        f"{label} aborted={record.aborted} last t={record.times[-1]:.1f}"
+        for label, record in (("para->ferro", headline_records["pf"]),
+                              ("ferro->para", headline_records["fp"]))
+    )
     record_result(
         5, passed,
         f"TD-degree para->ferro vs ferro->para at N=60, t<=20 (need >=10x): {detail}; "
-        f"simulation wall {headline_records['wall']:.0f}s",
+        f"{runs}; simulation wall {headline_records['wall']:.0f}s",
     )
 
 

@@ -3,34 +3,69 @@
 import numpy as np
 import pytest
 
-from spinquench.model import SX, SZ, HamiltonianParams, build_hamiltonian
+from spinquench import dmrg
+from spinquench.model import SX, SY, SZ, HamiltonianParams, HamiltonianSpec, build_hamiltonian
 from spinquench.dmrg import DmrgSettings, ground_state, _bond_factors, _mpo_from_bond_terms
-from spinquench.dmrg import _lanczos
-from spinquench.exact import ed_ground_state
+from spinquench.dmrg import _contract_left, _contract_right, _lanczos, _solve_block
+from spinquench.exact import ed_ground_state, ed_hamiltonian
 
 
 def test_bond_factor_decomposition():
     rng = np.random.default_rng(31)
     herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     herm = herm + herm.conj().T
-    rebuilt = sum(np.kron(a, b) for a, b in _bond_factors(herm))
+    rebuilt = sum(np.kron(a, b) for a, b in zip(*_bond_factors(herm)))
     assert np.max(np.abs(rebuilt - herm)) <= 1e-12
 
 
-def test_mpo_contracts_to_hamiltonian():
-    params = HamiltonianParams(0.9, 0.4, -0.3, 5)
-    spec = build_hamiltonian(params)
-    mpo = _mpo_from_bond_terms(spec)
-    # contract the MPO densely: accumulate over the virtual bond
+def mpo_dense(mpo):
+    """Contract an MPO over its virtual bonds into a dense matrix."""
     acc = mpo[0][0]  # (wr, d, d)
     for w in mpo[1:]:
         acc = np.einsum("aij,abkl->bikjl", acc, w, optimize=True)
         d_bra = acc.shape[1] * acc.shape[2]
         acc = acc.reshape(acc.shape[0], d_bra, d_bra)
-    dense = acc[0]
-    from spinquench.exact import ed_hamiltonian
+    return acc[0]
 
-    assert np.max(np.abs(dense - ed_hamiltonian(params))) <= 1e-12
+
+def test_mpo_contracts_to_hamiltonian():
+    rng = np.random.default_rng(17)
+    triples = [(0.9, 0.4, -0.3), (0.0, 0.7, 0.5), (0.0, -1.1, 0.0)] + [
+        tuple(rng.normal(size=3)) for _ in range(3)
+    ]
+    for n_sites in range(2, 7):
+        for triple in triples:
+            params = HamiltonianParams(*triple, n_sites)
+            mpo = _mpo_from_bond_terms(build_hamiltonian(params))
+            assert np.max(np.abs(mpo_dense(mpo) - ed_hamiltonian(params))) <= 1e-12
+            width = 3 if triple[0] != 0.0 else 2
+            assert [w.shape[:2] for w in mpo] == (
+                [(1, width)] + [(width, width)] * (n_sites - 2) + [(width, 1)]
+            )
+
+
+def random_spec(n_sites, rng):
+    """A chain of random complex Hermitian bond terms with SY.SY and SX.SZ parts."""
+    terms = []
+    for _ in range(n_sites - 1):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        c = rng.normal(size=2)
+        terms.append(m + m.conj().T + c[0] * np.kron(SY, SY) + c[1] * np.kron(SX, SZ))
+    return HamiltonianSpec(HamiltonianParams(1.0, 0.0, 0.0, n_sites), tuple(terms))
+
+
+def test_mpo_of_generic_bond_terms():
+    rng = np.random.default_rng(19)
+    for n_sites in range(2, 7):
+        spec = random_spec(n_sites, rng)
+        kron_sum = sum(
+            np.kron(np.kron(np.eye(2**b), t), np.eye(2 ** (n_sites - b - 2)))
+            for b, t in enumerate(spec.bond_terms)
+        )
+        mpo = _mpo_from_bond_terms(spec)
+        assert np.max(np.abs(mpo_dense(mpo) - kron_sum)) <= 1e-12
+        # the remainder has zero partial traces, so at most 3 Kronecker factors
+        assert [w.shape[:2] for w in mpo] == [(1, 5)] + [(5, 5)] * (n_sites - 2) + [(5, 1)]
 
 
 def test_decoupled_transverse_chain():
@@ -133,3 +168,89 @@ def test_lanczos_out_of_iterations_returns_variational_pair():
     assert np.isfinite(energy) and np.isfinite(rayleigh)
     assert rayleigh == pytest.approx(energy, abs=1e-10)
     assert rayleigh >= lowest
+
+
+def _random_block(a, b, seed):
+    """Sites 2 and 3 of a random 6-site MPS under a random generic MPO.
+
+    Returns the environments, the two MPO tensors, a start block and the
+    dense effective Hamiltonian, which is Hermitian for any MPS tensors.
+    """
+    rng = np.random.default_rng(seed)
+    mpo = _mpo_from_bond_terms(random_spec(6, rng))
+
+    def site(dl, dr):
+        return rng.normal(size=(dl, 2, dr)) + 1j * rng.normal(size=(dl, 2, dr))
+
+    boundary = np.ones((1, 1, 1), dtype=complex)
+    left = _contract_left(_contract_left(boundary, site(1, 3), mpo[0]), site(3, a), mpo[1])
+    right = _contract_right(_contract_right(boundary, site(3, 1), mpo[5]), site(b, 3), mpo[4])
+    left, right = left / np.max(np.abs(left)), right / np.max(np.abs(right))
+    heff = np.einsum(
+        "awA,wvpP,vuqQ,buB->apqbAPQB", left, mpo[2], mpo[3], right, optimize=True
+    ).reshape(4 * a * b, 4 * a * b)
+    theta = np.tensordot(site(a, 2), site(2, b), axes=(2, 0))
+    return left, right, mpo[2], mpo[3], theta, heff
+
+
+def test_block_matvec_equals_explicit_hamiltonian(monkeypatch):
+    left, right, w1, w2, theta, heff = _random_block(8, 6, 61)
+    assert heff.shape[0] > dmrg._DENSE_SOLVE_DIM
+    seen = {}
+
+    def capture(matvec, v0, tol, maxiter):
+        seen["matvec"] = matvec
+        return 0.0, v0
+
+    monkeypatch.setattr(dmrg, "_lanczos", capture)
+    _solve_block(left, right, w1, w2, theta, 1e-12, 50)
+    rng = np.random.default_rng(67)
+    for _ in range(3):
+        v = rng.normal(size=heff.shape[0]) + 1j * rng.normal(size=heff.shape[0])
+        assert np.max(np.abs(seen["matvec"](v) - heff @ v)) <= 1e-12
+
+
+def test_dense_block_solve_returns_lowest_pair(monkeypatch):
+    left, right, w1, w2, theta, heff = _random_block(8, 6, 71)
+    monkeypatch.setattr(dmrg, "_DENSE_SOLVE_DIM", heff.shape[0])
+    monkeypatch.setattr(dmrg, "_lanczos", None)  # the dense path must not reach it
+    assert np.max(np.abs(heff - heff.conj().T)) <= 1e-12
+    energy, vec = _solve_block(left, right, w1, w2, theta, 1e-12, 50)
+    evals = np.linalg.eigvalsh(heff)
+    assert abs(energy - evals[0]) <= 1e-12 * max(1.0, abs(evals[0]))
+    vec = vec.reshape(-1)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(heff @ vec - energy * vec) <= 1e-10 * np.max(np.abs(evals))
+
+
+def reference_lanczos(matvec, v0, tol, maxiter):
+    """The Lanczos loop that rebuilds its tridiagonal every step, kept to check the in-place one."""
+    dim = v0.size
+    basis = np.empty((min(maxiter, dim), dim), dtype=complex)
+    basis[0] = v0 / np.linalg.norm(v0)
+    alphas, betas = [], []
+    for k in range(len(basis)):
+        w = matvec(basis[k])
+        alphas.append(np.vdot(basis[k], w).real)
+        krylov = basis[: k + 1]
+        for _ in range(2):
+            w -= krylov.T @ np.conj(krylov @ w.conj())
+        beta = np.linalg.norm(w)
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        evals, evecs = np.linalg.eigh(tri)
+        energy, ritz = evals[0], evecs[:, 0]
+        if beta * abs(ritz[-1]) <= tol * max(1.0, abs(energy)) or k + 1 == len(basis):
+            break
+        betas.append(beta)
+        basis[k + 1] = w / beta
+    vec = ritz @ krylov
+    return float(energy), vec / np.linalg.norm(vec)
+
+
+def test_lanczos_matches_rebuilt_tridiagonal_loop():
+    for seed, dim, tol, maxiter in ((73, 300, 1e-12, 300), (79, 200, 1e-6, 100), (83, 300, 1e-12, 7)):
+        herm, v0 = _random_hermitian(dim, seed)
+        energy, vec = _lanczos(lambda v: herm @ v, v0, tol, maxiter)
+        ref_energy, ref_vec = reference_lanczos(lambda v: herm @ v, v0, tol, maxiter)
+        assert energy == ref_energy
+        assert np.array_equal(vec, ref_vec)
