@@ -11,16 +11,20 @@ forms:
   works in this form.
 - The Schmidt form: every tensor is a right isometry and the singular values
   of every cut are kept beside the tensors. TEBD works in this form. A gate
-  on any bond (i, i+1) applies to Lambda_i B_i B_{i+1}, is split by SVD and
-  leaves the form intact without touching other sites, and block density
-  matrices and bond energies are local contractions that need no re-gauging.
-  A layer of gates on bonds at least two apart applies at once
-  (``apply_gate_layer``): three or more bonds whose pairs have the same shape
-  share one stacked contraction and one batched SVD, which returns the same
-  bits as one SVD per pair, so only numpy's per-call overhead is saved.
+  on any bond (i, i+1) applies to Lambda_i B_i B_{i+1}, and its split needs
+  only the singular values and right vectors, so it leaves the form intact
+  without touching other sites, and block density matrices and bond energies
+  are local contractions that need no re-gauging. A tall block of 8 or more
+  columns takes them from ``eigh`` of its Gram matrix, which skips the left
+  vectors that an SVD would build; other blocks are split by SVD. A layer of
+  gates on bonds at least two apart applies at once (``apply_gate_layer``):
+  three or more bonds whose pairs have the same shape share one stacked
+  contraction and one batched decomposition, which returns the same bits as
+  one per pair, so only numpy's per-call overhead is saved.
 
-Both forms split a two-site block by the same truncated SVD: discard the
-smallest singular values within the truncation budget, then renormalise.
+Both forms truncate by the same rule: discard the smallest singular values
+within the truncation budget, then renormalise. A decomposition that LAPACK
+fails on is redone (see ``_svd``); a block holding NaN splits into NaN.
 """
 
 from __future__ import annotations
@@ -219,7 +223,7 @@ class MpsState:
         values = [np.ones(1)] * (n + 1)
         for i in range(n - 1, 0, -1):
             dl, d, dr = self.tensors[i].shape
-            u, s, vh = np.linalg.svd(self.tensors[i].reshape(dl, d * dr), full_matrices=False)
+            u, s, vh = _svd(self.tensors[i].reshape(dl, d * dr))
             self.tensors[i] = vh.reshape(len(s), d, dr)
             self.tensors[i - 1] = np.tensordot(self.tensors[i - 1], u * s, axes=(2, 0))
             values[i] = s / np.linalg.norm(s)
@@ -250,7 +254,7 @@ class MpsState:
     # -- updates -------------------------------------------------------------
 
     def apply_two_site_gate(self, gate, left_site, policy, center_side="right"):
-        """Apply a 4x4 gate to sites (left_site, left_site+1), truncate by SVD.
+        """Apply a 4x4 gate to sites (left_site, left_site+1), truncate and split.
 
         Returns the discarded weight (sum of dropped squared singular values);
         the state is renormalised afterwards. In the Schmidt form the gate may
@@ -276,11 +280,13 @@ class MpsState:
 
         dl, _, dr = phi.shape
         theta = (schmidt[i][:, None, None] * phi).reshape(dl * 2, 2 * dr)
-        _, s, vh, norm, discarded = _svd_split(theta, policy)
-        keep = len(s)
+        s, vh = _schmidt_split(theta, policy)
+        keep, discarded = _truncation_rank(s, policy)
+        s, vh = s[:keep], vh[:keep]
+        norm = np.linalg.norm(s)
         self.tensors[i] = (phi.reshape(dl * 2, 2 * dr) @ vh.conj().T / norm).reshape(dl, 2, keep)
         self.tensors[i + 1] = vh.reshape(keep, 2, dr)
-        schmidt[i + 1] = s
+        schmidt[i + 1] = s / norm
         return discarded
 
     def apply_gate_layer(self, bonds, gates, policy) -> float:
@@ -290,11 +296,11 @@ class MpsState:
         must be at least two apart, so that no gate reads what another one
         writes. Groups of ``_MIN_STACK`` or more bonds whose pairs share a
         shape (dl, chi, dr) go through one stacked contraction, gate product
-        and batched SVD; the other bonds go through ``apply_two_site_gate``,
-        for which stacking costs more than it saves. Tensors, Schmidt values
-        and the returned discarded weight (summed in the order of ``bonds``)
-        are bit for bit those of ``apply_two_site_gate`` applied to each bond
-        in turn.
+        and batched split (``_schmidt_split``); the other bonds go through
+        ``apply_two_site_gate``, for which stacking costs more than it saves.
+        Tensors, Schmidt values and the returned discarded weight (summed in
+        the order of ``bonds``) are bit for bit those of
+        ``apply_two_site_gate`` applied to each bond in turn.
         """
         if self.schmidt_values is None:
             raise ValueError("a gate layer needs the Schmidt form")
@@ -336,7 +342,7 @@ class MpsState:
         rights = np.concatenate([self.tensors[i + 1] for i in sites]).reshape(n, chi, 2 * dr)
         lam = np.concatenate([schmidt[i] for i in sites]).reshape(n, dl, 1, 1)
         phi = gates[:, None] @ (lefts @ rights).reshape(n, dl, 4, dr)
-        _, s, vh = np.linalg.svd((lam * phi).reshape(n, dl * 2, 2 * dr), full_matrices=False)
+        s, vh = _schmidt_split((lam * phi).reshape(n, dl * 2, 2 * dr), policy)
         keep, discarded = _truncation_rank(s, policy)
         phi = phi.reshape(n, dl * 2, 2 * dr)
         keeps = keep.tolist()
@@ -366,7 +372,7 @@ class MpsState:
         if center_side not in ("left", "right"):
             raise ValueError(f"center_side must be 'left' or 'right', got {center_side!r}")
         dl, dr = theta.shape[0], theta.shape[-1]
-        u, s, vh, _, discarded = _svd_split(theta.reshape(dl * 2, 2 * dr), policy)
+        u, s, vh, discarded = _svd_split(theta.reshape(dl * 2, 2 * dr), policy)
         keep = len(s)
         if center_side == "right":
             self.tensors[i] = u.reshape(dl, 2, keep)
@@ -496,16 +502,63 @@ def _truncation_rank(singular_values, policy: TruncationPolicy):
     return keep, tail[np.arange(len(keep)), keep]
 
 
-def _svd_split(theta: np.ndarray, policy: TruncationPolicy):
-    """Truncated SVD of a matrix: ``(u, s, vh, norm, discarded)``.
+def _svd(theta: np.ndarray):
+    """Thin SVD ``(u, s, vh)`` of a matrix or a stack of matrices.
 
-    ``s`` holds the kept singular values divided by their 2-norm ``norm``;
+    Where LAPACK fails on a finite matrix, the SVD of its transpose stands in
+    (in a stack, the rows are redone one by one). A matrix holding NaN or inf
+    comes back as NaN, for the caller's finiteness checks.
+    """
+    try:
+        return np.linalg.svd(theta, full_matrices=False)
+    except np.linalg.LinAlgError:
+        if theta.ndim == 3:
+            return tuple(np.stack(parts) for parts in zip(*map(_svd, theta)))
+        if not np.isfinite(theta).all():
+            (m, n), k = theta.shape, min(theta.shape)
+            return np.full((m, k), np.nan), np.full(k, np.nan), np.full((k, n), np.nan)
+        vt, s, ut = np.linalg.svd(theta.T, full_matrices=False)
+        return ut.T, s, vt.T
+
+
+# a block (m, n) with m >= n >= _GRAM_MIN_COLS is split from its Gram matrix when
+# the per-cut budget is at least _GRAM_FLOOR * n * eps, the Gram's rounding
+# floor for a unit-norm block. Below 8 columns the SVD costs about the same,
+# and a wide block's n x n Gram costs more than its SVD (3x at 8 x 32)
+_GRAM_MIN_COLS = 8
+_GRAM_FLOOR = 10
+
+
+def _schmidt_split(theta: np.ndarray, policy: TruncationPolicy):
+    """Singular values and right vectors ``(s, vh)`` of a unit-norm block or stack.
+
+    Hastings' update reads only these, so tall blocks skip ``u``: ``eigh`` of
+    theta^H theta gives s^2, to about n * eps, and vh. Other shapes, budgets
+    near that floor (``cutoff`` 0) and blocks on which ``eigh`` fails take the
+    SVD. The choice rests on shape and policy alone, so a stack and its rows
+    split alike.
+    """
+    m, n = theta.shape[-2:]
+    budget = policy.cutoff * TRUNCATION_MARGIN
+    if m >= n >= _GRAM_MIN_COLS and budget >= _GRAM_FLOOR * n * np.finfo(float).eps:
+        try:
+            w, v = np.linalg.eigh(theta.conj().swapaxes(-1, -2) @ theta)
+            return np.sqrt(np.maximum(w[..., ::-1], 0.0)), v[..., ::-1].conj().swapaxes(-1, -2)
+        except np.linalg.LinAlgError:
+            pass  # the SVD below
+    _, s, vh = _svd(theta)
+    return s, vh
+
+
+def _svd_split(theta: np.ndarray, policy: TruncationPolicy):
+    """Truncated SVD of a matrix: ``(u, s, vh, discarded)``.
+
+    ``s`` holds the kept singular values divided by their 2-norm;
     ``discarded`` is the dropped squared weight before renormalisation.
     """
-    u, s, vh = np.linalg.svd(theta, full_matrices=False)
+    u, s, vh = _svd(theta)
     keep, discarded = _truncation_rank(s, policy)
-    norm = np.linalg.norm(s[:keep])
-    return u[:, :keep], s[:keep] / norm, vh[:keep], norm, discarded
+    return u[:, :keep], s[:keep] / np.linalg.norm(s[:keep]), vh[:keep], discarded
 
 
 def product_state(local_states) -> MpsState:

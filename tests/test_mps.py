@@ -11,6 +11,9 @@ from spinquench.mps import (
     DensityMatrix,
     MpsState,
     TruncationPolicy,
+    _schmidt_split,
+    _svd,
+    _svd_split,
     _truncation_rank,
     all_plus_state,
     all_up_state,
@@ -470,3 +473,156 @@ def test_gate_layer_rejects_overlapping_bonds_and_centre_form():
     for bonds in [(0, 1), (2, 2), (3, 5), (-1, 2)]:
         with pytest.raises(ValueError, match="two apart"):
             state.apply_gate_layer(bonds, gates, TruncationPolicy())
+
+
+def block_with_spectrum(rng, m, n, values):
+    """A complex (m, n) block of unit norm with the given singular values."""
+    u, _ = np.linalg.qr(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (u * (values / np.linalg.norm(values))) @ v.conj().T
+
+
+def counting_linalg(monkeypatch):
+    """Record the matrix shapes passed to np.linalg.svd and np.linalg.eigh."""
+    calls = {"svd": [], "eigh": []}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            calls[_name].append(a.shape)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 8), (40, 20), (64, 64), (100, 50), (100, 100)])
+def test_gram_split_matches_svd(shape, monkeypatch):
+    rng = np.random.default_rng(31)
+    m, n = shape
+    theta = block_with_spectrum(rng, m, n, np.logspace(0, -10, n))
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
+    calls = counting_linalg(monkeypatch)
+    s, vh = _schmidt_split(theta, policy)
+    assert calls == {"svd": [], "eigh": [(n, n)]}
+    _, s_ref, vh_ref = np.linalg.svd(theta, full_matrices=False)
+    keep, _ = _truncation_rank(s, policy)
+    assert keep == _truncation_rank(s_ref, policy)[0]
+    s, vh, vh_ref = s[:keep], vh[:keep], vh_ref[:keep]
+    assert np.max(np.abs(vh @ vh.conj().T - np.eye(keep))) <= 1e-13
+    assert np.max(np.abs(s - s_ref[:keep])) <= 1e-10
+    # the split block: theta projected on the kept right vectors, renormalised
+    mine = theta @ vh.conj().T
+    theirs = theta @ vh_ref.conj().T
+    mine = mine @ vh / np.linalg.norm(mine)
+    theirs = theirs @ vh_ref / np.linalg.norm(theirs)
+    assert np.max(np.abs(mine - theirs)) <= 1e-10
+
+
+@pytest.mark.parametrize("shape, policy", [
+    ((40, 20), TruncationPolicy(cutoff=0.0, chi_max=50)),  # no budget above the Gram's floor
+    ((8, 32), TruncationPolicy(cutoff=1e-9, chi_max=50)),  # wide
+    ((16, 4), TruncationPolicy(cutoff=1e-9, chi_max=50)),  # fewer than 8 columns
+])
+def test_split_keeps_svd_off_the_gram_path(shape, policy, monkeypatch):
+    rng = np.random.default_rng(32)
+    tall = block_with_spectrum(rng, max(shape), min(shape), np.logspace(0, -10, min(shape)))
+    theta = tall if tall.shape == shape else tall.T
+    calls = counting_linalg(monkeypatch)
+    s, vh = _schmidt_split(theta, policy)
+    _schmidt_split(np.stack([theta] * 3), policy)
+    assert calls == {"svd": [shape, (3, *shape)], "eigh": []}
+    _, s_ref, vh_ref = np.linalg.svd(theta, full_matrices=False)
+    assert np.array_equal(s, s_ref) and np.array_equal(vh, vh_ref)
+
+
+def test_failed_eigh_falls_back_to_svd(monkeypatch):
+    rng = np.random.default_rng(33)
+    theta = block_with_spectrum(rng, 24, 16, np.logspace(0, -6, 16))
+    stack = np.stack([theta, theta[::-1]])
+
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
+    for block in (theta, stack):
+        s, vh = _schmidt_split(block, policy)
+        _, s_ref, vh_ref = np.linalg.svd(block, full_matrices=False)
+        assert np.array_equal(s, s_ref) and np.array_equal(vh, vh_ref)
+
+
+def test_failed_svd_of_a_finite_block_uses_its_transpose(monkeypatch):
+    rng = np.random.default_rng(34)
+    stack = np.stack([block_with_spectrum(rng, 12, 6, np.logspace(0, -4, 6)) for _ in range(3)])
+    bad = stack[1]
+    original = np.linalg.svd
+    calls = []
+
+    def failing(a, *args, **kwargs):
+        """LAPACK fails on ``bad`` and on any stack holding it."""
+        calls.append(a.shape)
+        if any(np.array_equal(a_row, bad) for a_row in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    u, s, vh = _svd(stack)
+    # the stack, then each row alone, then the transpose of the failing row only
+    assert calls == [(3, 12, 6), (12, 6), (12, 6), (6, 12), (12, 6)]
+    assert u.shape == (3, 12, 6) and s.shape == (3, 6) and vh.shape == (3, 6, 6)
+    for row in (0, 2):
+        for mine, theirs in zip((u[row], s[row], vh[row]), original(stack[row], full_matrices=False)):
+            assert np.array_equal(mine, theirs)
+    assert np.max(np.abs((u[1] * s[1]) @ vh[1] - bad)) <= 1e-13
+    assert np.max(np.abs(s[1] - original(bad, compute_uv=False))) <= 1e-13
+    assert np.max(np.abs(vh[1] @ vh[1].conj().T - np.eye(6))) <= 1e-13
+    # DMRG's split and the gate path's SVD branch go through the same fallback
+    u, s, vh, discarded = _svd_split(bad, TruncationPolicy(cutoff=0.0, chi_max=4))
+    assert u.shape == (12, 4) and vh.shape == (4, 6) and discarded > 0
+    s, vh = _schmidt_split(bad, TruncationPolicy(cutoff=0.0, chi_max=50))
+    assert np.max(np.abs(s - original(bad, compute_uv=False))) <= 1e-13
+
+
+def test_non_finite_block_splits_to_nan():
+    rng = np.random.default_rng(35)
+    theta = block_with_spectrum(rng, 16, 16, np.logspace(0, -4, 16))
+    poisoned = theta.copy()
+    poisoned[3, 5] = np.nan
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
+    s, vh = _schmidt_split(poisoned, policy)  # eigh fails, then the SVD
+    assert np.isnan(s).all() and np.isnan(vh).all()
+    u, s, vh = _svd(np.stack([theta, poisoned]))
+    assert np.isnan(s[1]).all() and np.isnan(u[1]).all() and np.isnan(vh[1]).all()
+    assert np.isfinite(s[0]).all()
+    u, s, vh, discarded = _svd_split(poisoned[:, :6], policy)
+    assert np.isnan(s).all() and np.isnan(u).all()
+
+
+def test_gate_layer_with_gram_splits_matches_gates_one_by_one(monkeypatch):
+    """Bonds of 8 and 16 in a 16-site state: stacked and lone Gram splits agree."""
+    rng = np.random.default_rng(18)
+    dims = [1, 2, 4, 8] + [16] * 9 + [8, 4, 2, 1]
+    tensors = [rng.normal(size=(dims[j], 2, dims[j + 1]))
+               + 1j * rng.normal(size=(dims[j], 2, dims[j + 1])) for j in range(16)]
+    layered = MpsState(tensors).to_schmidt_form()
+    single = layered.copy()
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=24)
+    gram_ranks = set()
+    for layer in [tuple(range(0, 15, 2)), tuple(range(1, 15, 2))] * 2:
+        gates = np.array([random_gate(rng) for _ in layer])
+        with monkeypatch.context() as m:
+            calls = counting_linalg(m)
+            weight = layered.apply_gate_layer(layer, gates, policy)
+        gram_ranks |= {len(shape) for shape in calls["eigh"]}
+        expected = 0.0
+        for bond, gate in zip(layer, gates):
+            expected += single.apply_two_site_gate(gate, bond, policy)
+        assert weight == expected
+        for mine, theirs in zip(layered.tensors, single.tensors):
+            assert np.array_equal(mine, theirs)
+        for mine, theirs in zip(layered.schmidt_values, single.schmidt_values):
+            assert np.array_equal(mine, theirs)
+    # stacked and lone blocks of 8 or more columns took the Gram path
+    assert gram_ranks == {2, 3}
+    assert max(layered.bond_dims) == 24

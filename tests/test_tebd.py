@@ -227,3 +227,28 @@ def test_evolve_stacks_gates_and_matches_per_gate_record(monkeypatch):
     for ell in protocol.subsystem_sizes:
         for mine, theirs in zip(stacked.rdms[ell], reference.rdms[ell], strict=True):
             assert np.array_equal(mine.entries, theirs.entries)
+
+
+def test_non_finite_state_ends_in_a_flagged_record(monkeypatch):
+    """A NaN that reaches a gate block ends the run with a flagged record, not LinAlgError."""
+    n = 20
+    protocol = QuenchProtocol(
+        pre=HamiltonianParams(0.2, 1.0, 0.0, n), post=HamiltonianParams(1.0, 0.1, 0.5, n),
+        t_max=0.5, tau=0.01, record_stride=10, subsystem_sizes=(1, 2),
+        policy=TruncationPolicy(1e-9, 50),
+    )
+    layers_applied = []
+    original = MpsState.apply_gate_layer
+
+    def poisoning(self, bonds, gates, policy):
+        layers_applied.append(bonds)
+        if len(layers_applied) == 45:  # in step 15, after the snapshot at t = 0.1
+            self.tensors[9] = np.full_like(self.tensors[9], np.nan)
+        return original(self, bonds, gates, policy)
+
+    monkeypatch.setattr(MpsState, "apply_gate_layer", poisoning)
+    record = evolve(all_plus_state(n), protocol)
+    assert record.aborted
+    assert record.abort_reason == "non-finite values during evolution"
+    assert list(record.times) == pytest.approx([0.0, 0.1])
+    assert len(layers_applied) == 3 * 20  # it ran on to the next snapshot
