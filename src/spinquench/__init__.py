@@ -13,10 +13,7 @@ from .mps import (
     DensityMatrix,
     MpsState,
     TruncationPolicy,
-    all_plus_state,
-    all_up_state,
     product_state,
-    reduce_density_matrix,
 )
 from .dmrg import DmrgSettings, GroundStateResult, ground_state
 from .tebd import EvolutionRecord, QuenchProtocol, evolve
@@ -41,10 +38,7 @@ __all__ = [
     "DensityMatrix",
     "MpsState",
     "TruncationPolicy",
-    "all_plus_state",
-    "all_up_state",
     "product_state",
-    "reduce_density_matrix",
     "DmrgSettings",
     "GroundStateResult",
     "ground_state",

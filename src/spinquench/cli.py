@@ -522,12 +522,18 @@ def run_quench_experiment(config: ExperimentConfig, workers: int = 1,
 
 
 def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
-    """Run the MPS and dense pipelines on identical parameters and compare."""
+    """Run the MPS and dense pipelines on identical parameters and compare.
+
+    A failed run leaves no report: the old one goes first, the new one is
+    written atomically.
+    """
+    out = Path(output_dir if output_dir is not None else config.output_dir)
+    report_path = out / "oracle_report.json"
+    report_path.unlink(missing_ok=True)
     if config.n_sites > ORACLE_MAX_SITES:
         raise ConfigError(
             [f"oracle-check needs system.sites <= {ORACLE_MAX_SITES}, got {config.n_sites}"]
         )
-    out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     pre, post = config.pre_params(), config.post_params()
@@ -576,7 +582,7 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
         },
         "pass": passed,
     }
-    (out / "oracle_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_atomically(report_path, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     for key in ("max_rdm_deviation", "max_series_deviation", "ground_energy_deviation"):
         print(f"{key}: {report[key]:.3e}")
     print("oracle-check:", "PASS" if passed else "FAIL")

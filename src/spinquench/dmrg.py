@@ -6,7 +6,9 @@ the Ising chain has MPO width 3. The sweeps are the standard ones: cached
 left/right environments, a smallest-eigenpair solve on each two-site block
 from the halves L.W and W.R (dense for small blocks, otherwise a numpy Lanczos
 with full reorthogonalisation), SVD split with truncation, and convergence on
-the change of the block energy across sweeps.
+the change of the block energy across sweeps. The sweeps work in the centre
+form; the result is handed over in the Schmidt form that gates and read-outs
+need.
 """
 
 from __future__ import annotations
@@ -185,14 +187,14 @@ def ground_state(
 
     Sweeps until the energy of the last block solved in a sweep changes by
     less than ``energy_tol``; if the budget runs out first, the best state
-    found is returned with ``converged=False``. The returned energy is the
-    expectation value of the returned state.
+    found is returned with ``converged=False``. The returned state is in the
+    Schmidt form, ready for gates and read-outs, and the returned energy is
+    its expectation value.
     """
     settings = settings or DmrgSettings()
     n = hspec.n_sites
     mpo = _mpo_from_bond_terms(hspec)
     state = _initial_state(hspec, seed)
-    state.canonicalize(0)
 
     left_env = [None] * n
     right_env = [None] * n
@@ -228,8 +230,7 @@ def ground_state(
             converged = True
             break
 
-    energy = state.energy(hspec)
-    state.canonicalize(0)
+    energy = state.to_schmidt_form().energy(hspec)
     return GroundStateResult(
         state=state,
         energy=energy,

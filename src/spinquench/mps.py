@@ -1,28 +1,29 @@
-"""Finite matrix product states in two gauges, with truncated two-site updates.
+"""Finite matrix product states and their truncated two-site updates.
 
 Site tensors have legs ``(left bond, physical, right bond)``, physical
-dimension 2, boundary bonds of dimension 1. A state is held in one of two
-forms:
+dimension 2, boundary bonds of dimension 1. Two gauges are used:
 
-- The centre form: tensors left of the orthogonality centre are left
-  isometries, tensors right of it right isometries, so norms, local
-  expectations and block density matrices close with identity environments
-  once ``canonicalize`` has moved the centre (by QR steps) next to them. DMRG
-  works in this form.
-- The Schmidt form: every tensor is a right isometry and the singular values
-  of every cut are kept beside the tensors. TEBD works in this form. A gate
-  on any bond (i, i+1) applies to Lambda_i B_i B_{i+1}, and its split needs
-  only the singular values and right vectors, so it leaves the form intact
-  without touching other sites, and block density matrices and bond energies
-  are local contractions that need no re-gauging. A tall block of 8 or more
-  columns takes them from ``eigh`` of its Gram matrix, which skips the left
-  vectors that an SVD would build; other blocks are split by SVD. A layer of
-  gates on bonds at least two apart applies at once (``apply_gate_layer``):
-  three or more bonds whose pairs have the same shape share one stacked
-  contraction and one batched decomposition, which returns the same bits as
-  one per pair, so only numpy's per-call overhead is saved.
+- DMRG works in the centre form. Tensors left of the orthogonality centre are
+  left isometries, tensors right of it right isometries; ``split_pair``
+  replaces a solved two-site block and leaves the centre on either of its
+  sites, and ``canonicalize`` moves the centre by QR steps.
+- Every gate, block density matrix and energy needs the Schmidt form
+  (``to_schmidt_form``) and raises ``ValueError`` on any other state; only
+  ``to_statevector``, the dense reference, reads either. Every tensor is a
+  right isometry and the singular values of every cut are kept beside the
+  tensors. A gate on any bond (i, i+1) applies to Lambda_i B_i B_{i+1}, and
+  its split needs only the singular values and right vectors, so it keeps the
+  form without touching other sites (Hastings, J. Math. Phys. 50, 095207
+  (2009)); block density matrices and bond energies are local contractions
+  that need no re-gauging. A tall block of 8 or more columns takes its split
+  from ``eigh`` of its Gram matrix, which skips the left vectors that an SVD
+  would build; other blocks are split by SVD. A layer of gates on bonds at
+  least two apart applies at once (``apply_gate_layer``): three or more bonds
+  whose pairs have the same shape share one stacked contraction and one
+  batched decomposition, which returns the same bits as one per pair, so only
+  numpy's per-call overhead is saved.
 
-Both forms truncate by the same rule: discard the smallest singular values
+Both gauges truncate by the same rule: discard the smallest singular values
 within the truncation budget, then renormalise. A decomposition that LAPACK
 fails on is redone (see ``_svd``); a block holding NaN splits into NaN.
 """
@@ -30,7 +31,6 @@ fails on is redone (see ``_svd``); a block holding NaN splits into NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
@@ -110,23 +110,6 @@ class DensityMatrix:
         re-diagonalising it for each pair.
         """
         return self._spectrum
-
-
-def reduce_density_matrix(dm: DensityMatrix, keep: tuple) -> DensityMatrix:
-    """Partial-trace a block density matrix down to a contiguous sub-block."""
-    keep = tuple(keep)
-    if not keep or any(s not in dm.sites for s in keep):
-        raise ValueError(f"sites {keep} not contained in {dm.sites}")
-    if list(keep) != list(range(keep[0], keep[-1] + 1)):
-        raise ValueError(f"sites {keep} are not contiguous")
-    offset = dm.sites.index(keep[0])
-    n_left, n_keep = offset, len(keep)
-    n_right = dm.n_sites - n_left - n_keep
-    shaped = dm.entries.reshape(
-        2**n_left, 2**n_keep, 2**n_right, 2**n_left, 2**n_keep, 2**n_right
-    )
-    rho = np.einsum("aibajb->ij", shaped, optimize=True)
-    return DensityMatrix(entries=rho, sites=keep, time_stamp=dm.time_stamp)
 
 
 class MpsState:
@@ -232,52 +215,29 @@ class MpsState:
         self.schmidt_values = values
         return self
 
-    def _center_tensor(self, site: int) -> np.ndarray:
-        """Tensor of ``site`` carrying the weight of everything left of it.
-
-        Contracted with right isometries, it closes with identity
-        environments. In the centre form the centre moves to ``site``.
-        """
+    def _schmidt(self, what: str) -> list:
+        """The Schmidt values; outside the Schmidt form, ``ValueError`` naming ``what``."""
         if self.schmidt_values is None:
-            self.canonicalize(site)
-            return self.tensors[site]
-        return self.schmidt_values[site][:, None, None] * self.tensors[site]
-
-    def norm(self) -> float:
-        """Full transfer-matrix contraction of <psi|psi>; gauge-independent."""
-        env = np.ones((1, 1), dtype=complex)
-        for t in self.tensors:
-            env = np.tensordot(env, t, axes=(1, 0))  # (a', p, r)
-            env = np.tensordot(t.conj(), env, axes=((0, 1), (0, 1)))  # (r', r)
-        return float(np.sqrt(np.abs(env[0, 0].real)))
+            raise ValueError(f"{what} needs the Schmidt form; call to_schmidt_form() first")
+        return self.schmidt_values
 
     # -- updates -------------------------------------------------------------
 
-    def apply_two_site_gate(self, gate, left_site, policy, center_side="right"):
+    def apply_two_site_gate(self, gate, left_site, policy):
         """Apply a 4x4 gate to sites (left_site, left_site+1), truncate and split.
 
         Returns the discarded weight (sum of dropped squared singular values);
-        the state is renormalised afterwards. In the Schmidt form the gate may
-        act on any bond and the form is kept: the new left tensor is the gated
-        pair contracted with the new right isometry, so no singular value is
-        ever inverted (Hastings, J. Math. Phys. 50, 095207 (2009)), and
-        ``center_side`` is unused. In the centre form the orthogonality centre
-        must already sit on one of the two sites, and ``center_side`` chooses
-        which of them keeps it. ``TrotterScheme`` checks gate shapes and
-        dtypes; this hot path does not.
+        the state is renormalised afterwards. The state must be in the Schmidt
+        form, which the gate keeps: the new left tensor is the gated pair
+        contracted with the new right isometry, so no singular value is ever
+        inverted (Hastings, J. Math. Phys. 50, 095207 (2009)).
+        ``TrotterScheme`` checks gate shapes and dtypes; this hot path does not.
         """
+        schmidt = self._schmidt("a gate")
         i = left_site
         if not 0 <= i < self.n_sites - 1:
             raise ValueError(f"gate site {i} out of range")
-        schmidt = self.schmidt_values
-        if schmidt is None and self.ortho_center not in (i, i + 1):
-            raise ValueError(
-                f"orthogonality centre is at {self.ortho_center}, gate needs {i} or {i + 1}"
-            )
         phi = gate @ _two_site(self.tensors[i], self.tensors[i + 1])  # (l, 4, r)
-        if schmidt is None:
-            return self.split_pair(i, phi, policy, center_side)
-
         dl, _, dr = phi.shape
         theta = (schmidt[i][:, None, None] * phi).reshape(dl * 2, 2 * dr)
         s, vh = _schmidt_split(theta, policy)
@@ -302,8 +262,7 @@ class MpsState:
         the order of ``bonds``) are bit for bit those of
         ``apply_two_site_gate`` applied to each bond in turn.
         """
-        if self.schmidt_values is None:
-            raise ValueError("a gate layer needs the Schmidt form")
+        self._schmidt("a gate layer")
         n_bonds, last = self.n_sites - 1, -2
         for i in sorted(bonds):
             if i - last < 2 or i >= n_bonds:
@@ -388,12 +347,8 @@ class MpsState:
     # -- read-outs -----------------------------------------------------------
 
     def rdm(self, sites, time_stamp=0.0, max_sites=RDM_DEFAULT_MAX) -> DensityMatrix:
-        """Reduced density matrix of a contiguous block of sites.
-
-        A local contraction in the Schmidt form; in the centre form the centre
-        first moves to the block's left edge (the state vector is unchanged by
-        the re-gauge).
-        """
+        """Reduced density matrix of a contiguous block of sites, a local contraction."""
+        schmidt = self._schmidt("a block density matrix")
         sites = tuple(sites)
         if not sites or list(sites) != list(range(sites[0], sites[-1] + 1)):
             raise ValueError(f"sites {sites} must be a non-empty contiguous range")
@@ -403,7 +358,7 @@ class MpsState:
         if len(sites) > cap:
             raise ValueError(f"block of {len(sites)} sites exceeds the cap of {cap}")
 
-        block = self._center_tensor(sites[0])
+        block = schmidt[sites[0]][:, None, None] * self.tensors[sites[0]]
         for s in range(sites[0] + 1, sites[-1] + 1):
             block = np.tensordot(block, self.tensors[s], axes=(block.ndim - 1, 0))
         # rows: the block's physical index; columns: both bond indices
@@ -413,40 +368,16 @@ class MpsState:
         rho = 0.5 * (rho + rho.conj().T)
         return DensityMatrix(entries=rho, sites=sites, time_stamp=time_stamp)
 
-    def expectation_local(self, op, site) -> float:
-        """<psi| op_site |psi> for a Hermitian 2x2 operator."""
-        if not 0 <= site < self.n_sites:
-            raise ValueError(f"site {site} out of range")
-        op = np.asarray(op, dtype=complex)
-        t = self._center_tensor(site)
-        val = np.einsum("apb,pq,aqb->", t.conj(), op, t, optimize=True)
-        if abs(val.imag) > 1e-10:
-            raise ValueError(f"expectation value has imaginary part {val.imag}")
-        return float(val.real)
-
     def energy(self, hspec: HamiltonianSpec) -> float:
-        """Sum of bond-term expectations; the total energy of the chain.
-
-        A local contraction per bond in the Schmidt form; in the centre form
-        the centre sweeps from site 0 to the last bond.
-        """
+        """Sum of bond-term expectations, one local contraction per bond."""
         if hspec.n_sites != self.n_sites:
             raise ValueError(
                 f"Hamiltonian has {hspec.n_sites} sites, state has {self.n_sites}"
             )
-        schmidt = self.schmidt_values
-        if schmidt is None:
-            self.canonicalize(0)
+        schmidt = self._schmidt("the energy")
         total = 0.0 + 0.0j
         for b, term in enumerate(hspec.bond_terms):
-            if schmidt is not None:
-                left = schmidt[b][:, None, None] * self.tensors[b]
-            else:
-                if b:
-                    self._shift_center_right(b - 1)
-                    self.ortho_center = b
-                left = self.tensors[b]
-            theta = _two_site(left, self.tensors[b + 1])
+            theta = _two_site(schmidt[b][:, None, None] * self.tensors[b], self.tensors[b + 1])
             total += np.vdot(theta, term @ theta)
         if abs(total.imag) > 1e-10:
             raise ValueError(f"energy has imaginary part {total.imag}")
@@ -572,27 +503,3 @@ def product_state(local_states) -> MpsState:
             raise ValueError(f"site {j}: local state is not normalised")
         tensors.append(amp.reshape(1, 2, 1))
     return MpsState(tensors, ortho_center=0)
-
-
-def all_up_state(n_sites: int) -> MpsState:
-    return product_state([(1.0, 0.0)] * n_sites)
-
-
-def all_plus_state(n_sites: int) -> MpsState:
-    amp = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    return product_state([amp] * n_sites)
-
-
-def random_state(n_sites: int, chi: int, rng) -> MpsState:
-    """Random MPS with bonds capped at ``chi``, canonicalised and normalised."""
-    tensors = []
-    dl = 1
-    for j in range(n_sites):
-        dr = 1 if j == n_sites - 1 else min(chi, 2 ** (j + 1), 2 ** (n_sites - 1 - j))
-        t = rng.normal(size=(dl, 2, dr)) + 1j * rng.normal(size=(dl, 2, dr))
-        tensors.append(t)
-        dl = dr
-    state = MpsState(tensors)
-    state.canonicalize(0)
-    state.tensors[0] /= np.linalg.norm(state.tensors[0])
-    return state

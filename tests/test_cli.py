@@ -372,6 +372,42 @@ def test_failed_rerun_removes_stale_csvs(tmp_path, monkeypatch):
     assert not any((out / name).exists() for name in csv_names)
 
 
+def test_failed_oracle_rerun_removes_stale_report(tmp_path, monkeypatch):
+    config = load_config(write_config(tmp_path, BASE))
+    out = tmp_path / "out"
+    report = out / "oracle_report.json"
+    assert run_oracle_check(config, output_dir=out) == EXIT_OK
+    assert json.loads(report.read_text())["pass"]
+
+    def failing_ground_state(*args, **kwargs):
+        raise RuntimeError("dense ground state failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("spinquench.cli.ed_ground_state", failing_ground_state)
+        with pytest.raises(RuntimeError):
+            run_oracle_check(config, output_dir=out)
+    assert not report.exists()
+
+    # a failure while the report is written leaves no file under its name
+    assert run_oracle_check(config, output_dir=out) == EXIT_OK
+
+    def failing_dumps(*args, **kwargs):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("spinquench.cli.json.dumps", failing_dumps)
+        with pytest.raises(OSError):
+            run_oracle_check(config, output_dir=out)
+    assert list(out.iterdir()) == []
+
+    # so does a config the oracle refuses
+    assert run_oracle_check(config, output_dir=out) == EXIT_OK
+    too_big = load_config(write_config(tmp_path, BASE.replace("sites: 6", "sites: 11"), "big.yaml"))
+    with pytest.raises(ConfigError):
+        run_oracle_check(too_big, output_dir=out)
+    assert not report.exists()
+
+
 def test_failed_final_manifest_write_keeps_running_manifest(tmp_path, monkeypatch):
     resource = pytest.importorskip("resource")
     from spinquench import cli

@@ -9,6 +9,8 @@ from spinquench.dmrg import DmrgSettings, ground_state, _bond_factors, _mpo_from
 from spinquench.dmrg import _contract_left, _contract_right, _lanczos, _solve_block
 from spinquench.exact import ed_ground_state, ed_hamiltonian
 
+from helpers import local_expectation
+
 
 def test_bond_factor_decomposition():
     rng = np.random.default_rng(31)
@@ -74,7 +76,7 @@ def test_decoupled_transverse_chain():
     assert result.converged
     assert result.energy == pytest.approx(-20.0, abs=1e-10)
     for j in range(20):
-        assert result.state.expectation_local(SX, j) == pytest.approx(1.0, abs=1e-8)
+        assert local_expectation(result.state, SX, j) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_classical_limit():
@@ -82,7 +84,7 @@ def test_classical_limit():
     result = ground_state(spec, DmrgSettings(), seed=3)
     assert result.energy == pytest.approx(-14.0, abs=1e-10)
     for j in range(10):
-        assert result.state.expectation_local(SZ, j) == pytest.approx(1.0, abs=1e-8)
+        assert local_expectation(result.state, SZ, j) == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("n_sites", (8, 10, 12))
@@ -108,14 +110,21 @@ def test_returned_energy_is_state_expectation():
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.1, 0.5, 12))
     result = ground_state(spec, DmrgSettings(), seed=3)
     assert abs(result.energy - result.state.copy().energy(spec)) <= 1e-10
-    assert result.state.norm() == pytest.approx(1.0, abs=1e-10)
+    psi = result.state.to_statevector()
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
+    # <psi|H|psi> on the dense vector, one bond term at a time
+    dense = sum(
+        np.vdot(psi, (term @ psi.reshape(2**b, 4, -1)).reshape(-1)).real
+        for b, term in enumerate(spec.bond_terms)
+    )
+    assert abs(result.energy - dense) <= 1e-10
 
 
 def test_symmetric_ferromagnet_picks_up_branch():
     # h_z = 0 in the ordered phase: the tilt must select the spin-up branch
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.1, 0.0, 12))
     result = ground_state(spec, DmrgSettings(), seed=5)
-    assert result.state.expectation_local(SZ, 6) > 0.5
+    assert local_expectation(result.state, SZ, 6) > 0.5
 
 
 def test_non_convergence_is_flagged():

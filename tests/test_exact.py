@@ -13,7 +13,8 @@ from spinquench.exact import (
     ed_hamiltonian,
     ed_rdm,
 )
-from spinquench.mps import reduce_density_matrix
+
+from helpers import partial_trace
 
 # frozen at the first verified run of the dense solver (N=10, J=0.2, h_x=1, h_z=0)
 PARAMAGNET_N10_ENERGY = -10.09017626179348
@@ -167,7 +168,7 @@ def test_rdm_nested_consistency():
     state = DenseState(amplitudes=amps, n_sites=7)
     big = ed_rdm(state, (2, 3, 4, 5))
     small = ed_rdm(state, (3, 4))
-    assert np.max(np.abs(reduce_density_matrix(big, (3, 4)).entries - small.entries)) <= 1e-12
+    assert np.max(np.abs(partial_trace(big, (3, 4)).entries - small.entries)) <= 1e-12
 
 
 def test_rdm_invalid_ranges():

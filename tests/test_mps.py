@@ -15,13 +15,11 @@ from spinquench.mps import (
     _svd,
     _svd_split,
     _truncation_rank,
-    all_plus_state,
-    all_up_state,
     product_state,
-    random_state,
-    reduce_density_matrix,
 )
-from spinquench.exact import DenseState, ed_rdm
+from spinquench.exact import DenseState, ed_hamiltonian, ed_rdm
+
+from helpers import all_plus_state, all_up_state, local_expectation, partial_trace, random_state
 
 UP = (1.0, 0.0)
 DOWN = (0.0, 1.0)
@@ -56,14 +54,14 @@ def mps_from_dense(amps, n_sites):
 
 
 def test_product_state_expectations():
-    state = all_up_state(6)
+    state = all_up_state(6).to_schmidt_form()
     for j in range(6):
-        assert state.expectation_local(SZ, j) == pytest.approx(1.0, abs=1e-12)
-    state = all_plus_state(6)
+        assert local_expectation(state, SZ, j) == pytest.approx(1.0, abs=1e-12)
+    state = all_plus_state(6).to_schmidt_form()
     for j in range(6):
-        assert state.expectation_local(SX, j) == pytest.approx(1.0, abs=1e-12)
-    state = product_state([UP, DOWN] * 3)
-    signs = [state.expectation_local(SZ, j) for j in range(6)]
+        assert local_expectation(state, SX, j) == pytest.approx(1.0, abs=1e-12)
+    state = product_state([UP, DOWN] * 3).to_schmidt_form()
+    signs = [local_expectation(state, SZ, j) for j in range(6)]
     assert np.allclose(signs, [1, -1, 1, -1, 1, -1], atol=1e-12)
 
 
@@ -118,98 +116,97 @@ def test_canonicalize_round_trip_preserves_state():
     assert_isometries(state)
     state.canonicalize(5)
     assert fidelity(state, reference) >= 1 - 1e-10
-    assert state.norm() == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(state.to_statevector()) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_identity_gate_is_a_no_op():
-    rng = np.random.default_rng(3)
-    state = random_state(6, 4, rng)
-    state.canonicalize(2)
-    reference = state.copy()
-    weight = state.apply_two_site_gate(np.eye(4, dtype=complex), 2, TruncationPolicy())
-    assert weight <= 1e-30  # only numerical-zero singular values are dropped
-    assert fidelity(state, reference) >= 1 - 1e-12
+def test_identity_gate_is_a_no_op(monkeypatch):
+    # bonds of 2 give the gate a 4x4 block, split by SVD; bonds of 4 an 8x8
+    # block, split by eigh
+    for chi, split in ((2, "svd"), (4, "eigh")):
+        rng = np.random.default_rng(3)
+        state = random_state(8, chi, rng).to_schmidt_form()
+        reference = state.copy()
+        with monkeypatch.context() as m:
+            calls = counting_linalg(m)
+            weight = state.apply_two_site_gate(np.eye(4, dtype=complex), 3, TruncationPolicy())
+        assert calls[split] == [(2 * chi, 2 * chi)]
+        # only numerical-zero singular values are dropped: squares of ~eps from
+        # an SVD, values at the Gram matrix's rounding floor (n * eps) from eigh
+        assert weight <= (1e-30 if split == "svd" else 2 * chi * np.finfo(float).eps)
+        assert state.bond_dims == reference.bond_dims
+        assert fidelity(state, reference) >= 1 - 1e-12
 
 
 def test_swap_gate_on_product_state():
-    state = product_state([UP, DOWN])
-    state.canonicalize(0)
+    state = product_state([UP, DOWN]).to_schmidt_form()
     weight = state.apply_two_site_gate(SWAP, 0, TruncationPolicy())
     assert weight == 0.0
     assert state.bond_dims == [1]
-    assert state.expectation_local(SZ, 0) == pytest.approx(-1.0, abs=1e-12)
-    assert state.expectation_local(SZ, 1) == pytest.approx(1.0, abs=1e-12)
+    assert local_expectation(state, SZ, 0) == pytest.approx(-1.0, abs=1e-12)
+    assert local_expectation(state, SZ, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bell_gate_creates_maximal_entanglement():
-    state = product_state([UP, UP])
-    state.canonicalize(0)
+    state = product_state([UP, UP]).to_schmidt_form()
     state.apply_two_site_gate(BELL_GATE, 0, TruncationPolicy())
     assert state.bond_dims == [2]
+    assert np.allclose(state.schmidt_values[1], [np.sqrt(0.5)] * 2, atol=1e-12)
     dm = state.rdm((0,))
     assert np.allclose(np.sort(dm.spectrum()), [0.5, 0.5], atol=1e-12)
 
 
-def test_gate_requires_center_at_bond():
-    state = all_up_state(6)
-    state.canonicalize(5)
-    with pytest.raises(ValueError):
-        state.apply_two_site_gate(SWAP, 0, TruncationPolicy())
-
-
-def test_gate_matches_dense_application_without_cutoff():
-    rng = np.random.default_rng(7)
-    n = 8
-    state = random_state(n, 6, rng)
-    policy = TruncationPolicy(cutoff=0.0, chi_max=4096)
-    dense = state.to_statevector()
-    for bond in (0, 3, 6, 2, 5):
-        herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        herm = herm + herm.conj().T
-        evals, evecs = np.linalg.eigh(herm)
-        gate = (evecs * np.exp(-0.3j * evals)) @ evecs.conj().T
-        state.canonicalize(bond)
-        weight = state.apply_two_site_gate(gate, bond, policy)
-        assert weight == 0.0
-        op = np.kron(np.kron(np.eye(2**bond), gate), np.eye(2 ** (n - bond - 2)))
-        dense = op @ dense
-        overlap = abs(np.vdot(dense / np.linalg.norm(dense), state.to_statevector()))
-        assert overlap >= 1 - 1e-10
+def test_gates_and_read_outs_require_schmidt_form():
+    spec = build_hamiltonian(HamiltonianParams(1.0, 0.7, 0.3, 6))
+    rng = np.random.default_rng(6)
+    for state in (all_up_state(6), random_state(6, 4, rng), random_state(6, 4, rng).canonicalize(3)):
+        reference = state.to_statevector()
+        with pytest.raises(ValueError, match="Schmidt form"):
+            state.apply_two_site_gate(SWAP, 0, TruncationPolicy())
+        with pytest.raises(ValueError, match="Schmidt form"):
+            state.rdm((2, 3))
+        with pytest.raises(ValueError, match="Schmidt form"):
+            state.energy(spec)
+        assert np.array_equal(state.to_statevector(), reference)  # nothing was re-gauged
+        assert state.schmidt_values is None
+    # a Schmidt-form state leaves the form once its centre moves
+    state = random_state(6, 4, rng).to_schmidt_form().canonicalize(2)
+    with pytest.raises(ValueError, match="Schmidt form"):
+        state.rdm((0,))
 
 
 def test_discarded_weight_within_cutoff_when_chi_unbounded():
     rng = np.random.default_rng(8)
-    state = random_state(8, 16, rng)
+    state = random_state(8, 16, rng).to_schmidt_form()
     policy = TruncationPolicy(cutoff=1e-6, chi_max=4096)
     for bond in range(7):
         herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         herm = herm + herm.conj().T
         evals, evecs = np.linalg.eigh(herm)
         gate = (evecs * np.exp(-0.5j * evals)) @ evecs.conj().T
-        state.canonicalize(bond)
         weight = state.apply_two_site_gate(gate, bond, policy)
         assert 0.0 <= weight <= policy.cutoff
-        assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(state.to_statevector()) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(state.schmidt_values[bond + 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chi_max_is_enforced():
     rng = np.random.default_rng(9)
-    state = random_state(8, 16, rng)
+    state = random_state(8, 16, rng).to_schmidt_form()
     policy = TruncationPolicy(cutoff=0.0, chi_max=3)
-    state.canonicalize(3)
     state.apply_two_site_gate(np.eye(4, dtype=complex) + 0j, 3, policy)
     assert state.bond_dims[3] <= 3
+    assert len(state.schmidt_values[4]) == state.bond_dims[3]
 
 
 def test_rdm_product_state_is_projector():
-    state = product_state([UP, DOWN, UP, DOWN])
+    state = product_state([UP, DOWN, UP, DOWN]).to_schmidt_form()
     dm = state.rdm((1,))
     assert np.allclose(dm.entries, [[0, 0], [0, 1]], atol=1e-12)
     assert dm.sites == (1,)
 
 
 def test_rdm_ghz_two_sites():
-    state = mps_from_dense(ghz_state(6), 6)
+    state = mps_from_dense(ghz_state(6), 6).to_schmidt_form()
     dm = state.rdm((2, 3))
     expected = np.diag([0.5, 0.0, 0.0, 0.5])
     assert np.max(np.abs(dm.entries - expected)) <= 1e-12
@@ -217,7 +214,7 @@ def test_rdm_ghz_two_sites():
 
 def test_rdm_matches_dense_partial_trace():
     rng = np.random.default_rng(12)
-    state = random_state(10, 8, rng)
+    state = random_state(10, 8, rng).to_schmidt_form()
     dense = DenseState(amplitudes=state.to_statevector(), n_sites=10)
     for sites in [(3, 4, 5), (0, 1), (7, 8, 9), (4,)]:
         dm = state.rdm(sites)
@@ -227,15 +224,15 @@ def test_rdm_matches_dense_partial_trace():
 
 def test_rdm_nesting_consistency():
     rng = np.random.default_rng(13)
-    state = random_state(9, 8, rng)
+    state = random_state(9, 8, rng).to_schmidt_form()
     big = state.rdm((2, 3, 4, 5))
     small = state.rdm((3, 4))
-    reduced = reduce_density_matrix(big, (3, 4))
+    reduced = partial_trace(big, (3, 4))
     assert np.max(np.abs(reduced.entries - small.entries)) <= 1e-10
 
 
 def test_rdm_bounds():
-    state = all_up_state(10)
+    state = all_up_state(10).to_schmidt_form()
     with pytest.raises(ValueError):
         state.rdm((8, 9, 10))
     with pytest.raises(ValueError):
@@ -248,21 +245,17 @@ def test_rdm_bounds():
 
 
 def test_energy_trivial_cases():
+    state = all_up_state(10).to_schmidt_form()
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.0, 10))
-    assert all_up_state(10).energy(spec) == pytest.approx(-9.0, abs=1e-10)
+    assert state.energy(spec) == pytest.approx(-9.0, abs=1e-10)
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.5, 10))
-    assert all_up_state(10).energy(spec) == pytest.approx(-14.0, abs=1e-10)
+    assert state.energy(spec) == pytest.approx(-14.0, abs=1e-10)
 
 
 def test_energy_size_mismatch():
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.0, 5))
-    with pytest.raises(ValueError):
-        all_up_state(6).energy(spec)
-
-
-def test_expectation_out_of_range():
-    with pytest.raises(ValueError):
-        all_up_state(3).expectation_local(SZ, 3)
+    with pytest.raises(ValueError, match="5 sites, state has 6"):
+        all_up_state(6).to_schmidt_form().energy(spec)
 
 
 def test_density_matrix_validation():
@@ -317,26 +310,28 @@ def test_schmidt_form_gates_match_dense_application():
         assert np.max(np.abs(mat @ mat.conj().T - np.eye(t.shape[0]))) <= 1e-10
 
 
-def test_schmidt_form_read_path_matches_centre_form():
+def test_schmidt_form_read_path_matches_dense_reference():
     rng = np.random.default_rng(21)
     n = 10
-    spec = build_hamiltonian(HamiltonianParams(1.0, 0.7, 0.3, n))
+    params = HamiltonianParams(1.0, 0.7, 0.3, n)
     state = random_state(n, 8, rng).to_schmidt_form()
     for bond in (4, 1, 7, 0, 8, 5):
         state.apply_two_site_gate(random_gate(rng), bond, TruncationPolicy(1e-9, 50))
-    assert state.energy(spec) == pytest.approx(
-        state.copy().canonicalize(5).energy(spec), abs=1e-12
+    before = [t.copy() for t in state.tensors]
+    psi = state.to_statevector()
+    assert state.energy(build_hamiltonian(params)) == pytest.approx(
+        np.vdot(psi, ed_hamiltonian(params) @ psi).real, abs=1e-12
     )
+    dense = DenseState(amplitudes=psi, n_sites=n)
     for sites in [(0,), (4, 5), (2, 3, 4), (6, 7, 8, 9)]:
         mine = state.rdm(sites).entries
-        centred = state.copy().canonicalize(sites[-1]).rdm(sites).entries
-        assert np.max(np.abs(mine - centred)) <= 1e-12
-    for site in (0, 3, 9):
-        assert state.expectation_local(SX, site) == pytest.approx(
-            state.copy().canonicalize(7).expectation_local(SX, site), abs=1e-12
-        )
-    assert state.schmidt_values is not None  # the read path kept the form
-    assert state.copy().canonicalize(1).schmidt_values is None
+        assert np.max(np.abs(mine - ed_rdm(dense, sites).entries)) <= 1e-12
+    assert local_expectation(state, SX, 3) == pytest.approx(
+        np.trace(ed_rdm(dense, (3,)).entries @ SX).real, abs=1e-12
+    )
+    # the read path kept the form and re-gauged nothing
+    assert state.schmidt_values is not None and state.ortho_center == 0
+    assert all(np.array_equal(old, new) for old, new in zip(before, state.tensors))
 
 
 def reference_truncation_rank(singular_values, policy):

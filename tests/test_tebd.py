@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from spinquench.model import SZ, HamiltonianParams, build_hamiltonian
-from spinquench.mps import MpsState, TruncationPolicy, all_plus_state, all_up_state
+from spinquench.mps import MpsState, TruncationPolicy
 from spinquench.dmrg import DmrgSettings, ground_state
 from spinquench.tebd import EvolutionRecord, QuenchProtocol, centered_block, evolve
 from spinquench.exact import DensePropagator, ed_rdm, statevector_from_mps
+
+from helpers import all_plus_state, all_up_state
 
 PARA = HamiltonianParams(0.2, 1.0, 0.0, 10)
 FERRO = HamiltonianParams(1.0, 0.1, 0.5, 10)
@@ -188,6 +190,23 @@ def test_evolve_regauges_at_most_once(monkeypatch):
     assert record.n_times == 6
     assert max(record.max_bond) > 1
     assert len(calls) <= 1
+
+
+def test_ground_state_is_handed_over_in_schmidt_form(para_ground, monkeypatch):
+    state = para_ground.state
+    assert state.schmidt_values is not None and state.ortho_center == 0
+    assert para_ground.energy == state.energy(build_hamiltonian(PARA))
+    calls = []
+    original = MpsState.canonicalize
+
+    def counting(self, center):
+        calls.append(center)
+        return original(self, center)
+
+    monkeypatch.setattr(MpsState, "canonicalize", counting)
+    record = evolve(state, short_protocol(t_max=0.2))
+    assert record.n_times == 3 and not record.aborted
+    assert calls == []
 
 
 def test_evolve_stacks_gates_and_matches_per_gate_record(monkeypatch):
