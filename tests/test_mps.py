@@ -310,6 +310,26 @@ def test_schmidt_form_gates_match_dense_application():
         assert np.max(np.abs(mat @ mat.conj().T - np.eye(t.shape[0]))) <= 1e-10
 
 
+def test_gate_matches_dense_application_without_cutoff():
+    # a full-rank state (bonds up to 2**(n/2)) and a gate on every bond, swept
+    # both ways: with cutoff 0 nothing may be discarded at any bond dimension
+    rng = np.random.default_rng(17)
+    n = 8
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    dense = amps / np.linalg.norm(amps)
+    state = mps_from_dense(dense, n).to_schmidt_form()
+    assert max(state.bond_dims) == 2 ** (n // 2)
+    policy = TruncationPolicy(cutoff=0.0, chi_max=4096)
+    for bond in list(range(n - 1)) + list(range(n - 2, -1, -1)):
+        gate = random_gate(rng, strength=0.8)
+        assert state.apply_two_site_gate(gate, bond, policy) == 0.0
+        op = np.kron(np.kron(np.eye(2**bond), gate), np.eye(2 ** (n - bond - 2)))
+        dense = op @ dense
+        assert abs(np.vdot(dense, state.to_statevector())) >= 1 - 1e-10
+    for cut in range(1, n):
+        assert np.sum(state.schmidt_values[cut] ** 2) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_schmidt_form_read_path_matches_dense_reference():
     rng = np.random.default_rng(21)
     n = 10
