@@ -95,10 +95,6 @@ class DensityMatrix:
         object.__setattr__(self, "_spectrum", evals)
 
     @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def n_sites(self) -> int:
         return len(self.sites)
 

@@ -95,6 +95,35 @@ def test_matches_dense_diagonalisation(n_sites):
     assert abs(result.energy - reference) <= 1e-8
 
 
+def free_fermion_energy(coupling, h_x, n_sites):
+    """Exact ground energy of the open chain at h_z = 0 from its Majorana matrix.
+
+    Jordan-Wigner maps sx_j to i a_2j a_2j+1 and sz_j sz_j+1 to i a_2j+1 a_2j+2,
+    so H = (i/2) a^T M a with M real antisymmetric; the ground energy is
+    -1/2 sum |eps| over the eigenvalues eps of i M (signs gauge away).
+    """
+    m = np.zeros((2 * n_sites, 2 * n_sites))
+    m[np.arange(0, 2 * n_sites, 2), np.arange(1, 2 * n_sites, 2)] = -h_x
+    m[np.arange(1, 2 * n_sites - 2, 2), np.arange(2, 2 * n_sites - 1, 2)] = -coupling
+    return -0.5 * np.sum(np.abs(np.linalg.eigvalsh(1j * (m - m.T))))
+
+
+@pytest.mark.parametrize("coupling, h_x", ((0.2, 1.0), (1.0, 1.0), (0.7, 0.3)))
+def test_free_fermion_energy_matches_dense(coupling, h_x):
+    _, reference = ed_ground_state(HamiltonianParams(coupling, h_x, 0.0, 8))
+    assert abs(free_fermion_energy(coupling, h_x, 8) - reference) <= 1e-12
+
+
+# paramagnet and critical point; in the ordered phase DMRG picks one
+# symmetry-broken branch, half the tunnelling splitting above the ground state
+@pytest.mark.parametrize("coupling, h_x, n_sites", ((0.2, 1.0, 60), (1.0, 1.0, 24)))
+def test_matches_free_fermion_energy_beyond_dense_reach(coupling, h_x, n_sites):
+    spec = build_hamiltonian(HamiltonianParams(coupling, h_x, 0.0, n_sites))
+    result = ground_state(spec, DmrgSettings(), seed=3)
+    assert result.converged
+    assert abs(result.energy - free_fermion_energy(coupling, h_x, n_sites)) <= 1e-9
+
+
 def test_variational_bound_and_monotone_sweeps():
     rng = np.random.default_rng(41)
     for trial in range(3):
@@ -169,14 +198,49 @@ def test_lanczos_matches_dense_eigensolver():
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_lanczos_residual_meets_tolerance_when_it_stops_early():
+    # the residual is read only on scheduled steps; every early stop must
+    # still meet the bound, and happen on a scheduled step
+    early = 0
+    for seed, dim in ((101, 300), (103, 120), (107, 64), (109, 40)):
+        herm, v0 = _random_hermitian(dim, seed)
+        scale = np.linalg.norm(herm, 2)
+        for tol in (1e-6, 1e-12):
+            calls = []
+            energy, vec = _lanczos(lambda v: calls.append(1) or herm @ v, v0, tol, 200)
+            if len(calls) == min(200, dim):
+                continue  # out of iterations: no bound is promised
+            early += 1
+            assert len(calls) <= 8 or len(calls) % 4 == 0
+            residual = np.linalg.norm(herm @ vec - energy * vec)
+            assert residual <= tol * max(1.0, abs(energy)) + 1e-13 * scale
+    assert early >= 6
+
+
+def test_lanczos_stops_when_krylov_space_closes():
+    # ten distinct eigenvalues: the Krylov space closes after step 10, which
+    # is off the schedule, and beta alone then meets the bound
+    rng = np.random.default_rng(113)
+    q, _ = np.linalg.qr(rng.normal(size=(100, 100)) + 1j * rng.normal(size=(100, 100)))
+    herm = (q * np.repeat(np.arange(10.0) - 4.5, 10)) @ q.conj().T
+    v0 = rng.normal(size=100) + 1j * rng.normal(size=100)
+    for tol in (1e-6, 1e-12):
+        calls = []
+        energy, vec = _lanczos(lambda v: calls.append(1) or herm @ v, v0, tol, 100)
+        assert len(calls) == 10
+        assert energy == pytest.approx(-4.5, abs=1e-12)
+        assert np.linalg.norm(herm @ vec - energy * vec) <= 1e-12
+
+
 def test_lanczos_out_of_iterations_returns_variational_pair():
     herm, v0 = _random_hermitian(300, 59)
     lowest = np.linalg.eigvalsh(herm)[0]
-    energy, vec = _lanczos(lambda v: herm @ v, v0, 1e-12, 2)
-    rayleigh = np.vdot(vec, herm @ vec).real
-    assert np.isfinite(energy) and np.isfinite(rayleigh)
-    assert rayleigh == pytest.approx(energy, abs=1e-10)
-    assert rayleigh >= lowest
+    for maxiter in (2, 10):  # the residual test is off the schedule at step 10
+        energy, vec = _lanczos(lambda v: herm @ v, v0, 1e-12, maxiter)
+        rayleigh = np.vdot(vec, herm @ vec).real
+        assert np.isfinite(energy) and np.isfinite(rayleigh)
+        assert rayleigh == pytest.approx(energy, abs=1e-10)
+        assert rayleigh >= lowest
 
 
 def _random_block(a, b, seed):
@@ -232,8 +296,35 @@ def test_dense_block_solve_returns_lowest_pair(monkeypatch):
     assert np.linalg.norm(heff @ vec - energy * vec) <= 1e-10 * np.max(np.abs(evals))
 
 
+def test_blocks_up_to_32_dims_are_solved_densely(monkeypatch):
+    left, right, w1, w2, theta, heff = _random_block(2, 4, 127)
+    assert heff.shape[0] == dmrg._DENSE_SOLVE_DIM == 32
+    monkeypatch.setattr(dmrg, "_lanczos", None)  # the dense path must not reach it
+    energy, _ = _solve_block(left, right, w1, w2, theta, 1e-12, 50)
+    assert abs(energy - np.linalg.eigvalsh(heff)[0]) <= 1e-12 * max(1.0, abs(energy))
+
+
+def test_blocks_above_32_dims_go_to_lanczos(monkeypatch):
+    left, right, w1, w2, theta, heff = _random_block(4, 4, 131)
+    assert heff.shape[0] == 64
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _lanczos(*args)
+
+    monkeypatch.setattr(dmrg, "_lanczos", counted)
+    energy, vec = _solve_block(left, right, w1, w2, theta, 1e-12, 100)
+    assert calls == [1]
+    evals = np.linalg.eigvalsh(heff)
+    assert abs(energy - evals[0]) <= 1e-12 * max(1.0, abs(evals[0]))
+    vec = vec.reshape(-1)
+    assert np.linalg.norm(heff @ vec - energy * vec) <= 1e-10 * np.max(np.abs(evals))
+
+
 def reference_lanczos(matvec, v0, tol, maxiter):
-    """The Lanczos loop that rebuilds its tridiagonal every step, kept to check the in-place one."""
+    """The Lanczos loop that rebuilds its tridiagonal on each tested step, kept
+    to check the in-place one; the residual test runs on the same schedule."""
     dim = v0.size
     basis = np.empty((min(maxiter, dim), dim), dtype=complex)
     basis[0] = v0 / np.linalg.norm(v0)
@@ -245,11 +336,12 @@ def reference_lanczos(matvec, v0, tol, maxiter):
         for _ in range(2):
             w -= krylov.T @ np.conj(krylov @ w.conj())
         beta = np.linalg.norm(w)
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        evals, evecs = np.linalg.eigh(tri)
-        energy, ritz = evals[0], evecs[:, 0]
-        if beta * abs(ritz[-1]) <= tol * max(1.0, abs(energy)) or k + 1 == len(basis):
-            break
+        if k < 8 or k % 4 == 3 or k + 1 == len(basis) or beta <= tol:
+            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            evals, evecs = np.linalg.eigh(tri)
+            energy, ritz = evals[0], evecs[:, 0]
+            if beta * abs(ritz[-1]) <= tol * max(1.0, abs(energy)) or k + 1 == len(basis):
+                break
         betas.append(beta)
         basis[k + 1] = w / beta
     vec = ritz @ krylov
