@@ -9,10 +9,11 @@ degree curve. Extremum spacing on either kind of series yields the
 characteristic timescales.
 
 Each measure has one definition, written over stacks of states, that serves
-both a single pair and a whole series. A series is computed in one batch:
-the total variation distance reads the spectrum each density matrix cached
-when it was validated, so it needs no eigensolve at all, and the trace
-distance makes one batched eigensolve of all the differences.
+both a single pair and a whole series. A series is computed in one batch
+from slices of the record's stacked block states (``EvolutionRecord.rdms``):
+the total variation distance reads the spectra the stack cached when it was
+validated, so it needs no eigensolve at all, and the trace distance makes one
+batched eigensolve of all the differences.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ _SPACING_TOL = 1e-9
 
 
 def _entries(state) -> np.ndarray:
+    """One matrix, or a stack of them from a stacked DensityMatrix."""
     if isinstance(state, DensityMatrix):
         return state.entries
     return np.asarray(state)
 
 
 def _spectrum(state) -> np.ndarray:
-    """Ascending eigenvalues; cached on a DensityMatrix."""
+    """Ascending eigenvalues (one row per matrix of a stack); cached on a DensityMatrix."""
     if isinstance(state, DensityMatrix):
         return state.spectrum()
     return np.linalg.eigvalsh(np.asarray(state))
@@ -153,7 +155,8 @@ def distance_series(
 ) -> DistanceSeries:
     """Series value at t_k: distance between the block states at t_k + delta and t_k.
 
-    All values come from one batched evaluation over the stacked block states.
+    All values come from one batched evaluation over the stacked block states;
+    a stacked ``DensityMatrix`` is sliced as it is, a list is stacked first.
     """
     key = _check_measure(measure)
     if ell not in record.rdms:
@@ -164,7 +167,10 @@ def distance_series(
     values = np.zeros(0)
     if n_pairs:
         read, formula = _MEASURES[key]
-        stack = np.array([read(rho) for rho in rdms])
+        if isinstance(rdms, DensityMatrix):
+            stack = read(rdms)
+        else:
+            stack = np.array([read(rho) for rho in rdms])
         values = formula(stack[offset:], stack[:n_pairs])
     return DistanceSeries(
         measure=key,

@@ -6,6 +6,9 @@ convention: site 0 is the most significant bit of the computational-basis
 index, bit 0 meaning spin up (sz = +1); ``np.kron`` ordering follows the site
 order. In this basis the Hamiltonian is a real symmetric matrix, built
 directly from the bits of the basis index and diagonalised by ``np.linalg.eigh``.
+Evolution and partial traces also work on a stack of states: one propagator
+product evolves a state to many times, and one stacked product reduces them
+all to a stacked ``DensityMatrix``.
 """
 
 from __future__ import annotations
@@ -22,18 +25,18 @@ MAX_DENSE_SITES = 12
 
 @dataclass(frozen=True, eq=False)
 class DenseState:
-    """Unit-norm amplitude vector over the full 2^N basis."""
+    """Unit-norm amplitude vector over the full 2^N basis, or a stack (T, 2^N) of them."""
 
     amplitudes: np.ndarray
     n_sites: int
 
     def __post_init__(self):
-        if self.amplitudes.shape != (2**self.n_sites,):
+        if self.amplitudes.ndim not in (1, 2) or self.amplitudes.shape[-1] != 2**self.n_sites:
             raise ValueError(
                 f"amplitude vector of length {self.amplitudes.shape} does not match "
                 f"{self.n_sites} sites"
             )
-        if abs(np.linalg.norm(self.amplitudes) - 1.0) > 1e-12:
+        if np.any(np.abs(np.linalg.norm(self.amplitudes, axis=-1) - 1.0) > 1e-12):
             raise ValueError("state is not normalised")
 
 
@@ -85,27 +88,34 @@ class DensePropagator:
         # transpose; cast them once here, not on every product with a state.
         self._evecs = evecs.astype(complex)
 
-    def evolve(self, state: DenseState, t: float) -> DenseState:
+    def evolve(self, state: DenseState, t) -> DenseState:
+        """exp(-i H t)|psi> for one time, or the stack of the states at an array of times.
+
+        A stack comes from one matrix product with the eigenvectors.
+        """
         if state.n_sites != self.params.n_sites:
             raise ValueError("state and Hamiltonian sizes differ")
-        if not np.isfinite(t):
-            raise ValueError(f"evolution time must be finite, got {t}")
+        if state.amplitudes.ndim != 1:
+            raise ValueError("only a single state can be evolved")
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1 or not np.isfinite(t).all():
+            raise ValueError(f"evolution times must be finite scalars or a 1-d array, got {t}")
         coeffs = self._evecs.T @ state.amplitudes
-        amps = self._evecs @ (np.exp(-1j * self._evals * t) * coeffs)
-        amps = amps / np.linalg.norm(amps)
+        phases = np.exp(-1j * np.multiply.outer(t, self._evals))
+        amps = (self._evecs @ (phases * coeffs).T).T
+        amps = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
         return DenseState(amplitudes=amps, n_sites=state.n_sites)
 
     def energy(self, state: DenseState) -> float:
         return float(np.sum(self._evals * np.abs(self._evecs.T @ state.amplitudes) ** 2))
 
 
-def ed_evolve(state: DenseState, params: HamiltonianParams, t: float) -> DenseState:
-    """One-shot exp(-i H t)|psi>; use :class:`DensePropagator` for many times."""
-    return DensePropagator(params).evolve(state, t)
+def ed_rdm(state: DenseState, sites, time_stamp=0.0) -> DensityMatrix:
+    """Exact partial trace of |psi><psi| onto a contiguous block of sites.
 
-
-def ed_rdm(state: DenseState, sites, time_stamp: float = 0.0) -> DensityMatrix:
-    """Exact partial trace of |psi><psi| onto a contiguous block of sites."""
+    A stack of states gives a stacked ``DensityMatrix``, with ``time_stamp``
+    one time or one per state.
+    """
     sites = tuple(sites)
     if not sites or list(sites) != list(range(sites[0], sites[-1] + 1)):
         raise ValueError(f"sites {sites} must be a non-empty contiguous range")
@@ -114,10 +124,11 @@ def ed_rdm(state: DenseState, sites, time_stamp: float = 0.0) -> DensityMatrix:
     n_left = sites[0]
     n_keep = len(sites)
     n_right = state.n_sites - n_left - n_keep
-    psi = state.amplitudes.reshape(2**n_left, 2**n_keep, 2**n_right)
-    m = psi.transpose(1, 0, 2).reshape(2**n_keep, -1)
-    rho = m @ m.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    lead = state.amplitudes.shape[:-1]
+    psi = state.amplitudes.reshape(*lead, 2**n_left, 2**n_keep, 2**n_right)
+    m = psi.swapaxes(-3, -2).reshape(*lead, 2**n_keep, -1)
+    rho = m @ m.conj().swapaxes(-1, -2)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     return DensityMatrix(entries=rho, sites=sites, time_stamp=time_stamp)
 
 

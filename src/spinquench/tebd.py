@@ -9,6 +9,9 @@ bond in place, so the gates of a layer may run in any order, and each snapshot
 reads local contractions without re-gauging the chain. Each layer's gates are
 stacked once per run, and a layer is applied by one
 ``MpsState.apply_gate_layer`` call, which batches the bonds that share a shape.
+A snapshot keeps each block's Hermitian matrix unchecked; when the run ends,
+each block size's matrices become one stacked ``DensityMatrix``, validated by
+one batched check and eigensolve.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from .model import HamiltonianParams, build_hamiltonian, build_trotter_gates
-from .mps import RDM_SITE_CAP, MpsState, TruncationPolicy
+from .mps import RDM_SITE_CAP, DensityMatrix, MpsState, TruncationPolicy
 
 _GRID_SLACK = 1e-9
 _STALL_STEPS = 10
@@ -62,7 +65,9 @@ class EvolutionRecord:
 
     ``rdms[ell][k]`` is the block density matrix of size ``ell`` at
     ``times[k]``; ``energies``, ``max_bond`` and ``cumulative_discarded`` are
-    parallel to ``times``.
+    parallel to ``times``. ``evolve`` stores each ``rdms[ell]`` as one stacked
+    ``DensityMatrix`` with entries (n_times, d, d); a list of single states
+    (or of plain matrices) serves as well.
     """
 
     times: np.ndarray
@@ -116,7 +121,9 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     The input state is left untouched; evolution happens on a copy. Aborts
     with a partial (flagged) record when values go non-finite or when the
     bond dimension saturates while the per-step discarded weight stays above
-    100x the cutoff for ten consecutive steps.
+    100x the cutoff for ten consecutive steps. The block states are validated
+    when the record is made, so a block matrix that is not a density matrix
+    raises ``ValueError`` when ``evolve`` returns, not at its snapshot.
     """
     n = protocol.post.n_sites
     if initial.n_sites != n:
@@ -149,7 +156,7 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
         max_bonds.append(max(state.bond_dims) if n > 1 else 1)
         cum_discarded.append(total_discarded)
         for ell, sites in blocks.items():
-            rdms[ell].append(state.rdm(sites, time_stamp=t, max_sites=max(ell, 4)))
+            rdms[ell].append(state.rdm(sites, max_sites=max(ell, 4), validate=False))
         return True
 
     if not snapshot(0):
@@ -178,10 +185,12 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
                 abort_reason = "non-finite values during evolution"
                 break
 
+    recorded = np.array(times)
     return EvolutionRecord(
-        times=np.array(times),
+        times=recorded,
         spacing=protocol.record_spacing,
-        rdms=rdms,
+        rdms={ell: DensityMatrix(entries=np.array(rows), sites=blocks[ell], time_stamp=recorded)
+              for ell, rows in rdms.items()},
         blocks=blocks,
         energies=np.array(energies),
         max_bond=max_bonds,

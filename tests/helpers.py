@@ -40,7 +40,7 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
     """Trace a block density matrix down to the contiguous sub-block ``keep``."""
     keep = tuple(keep)
     n_left = dm.sites.index(keep[0])
-    n_right = dm.n_sites - n_left - len(keep)
+    n_right = len(dm.sites) - n_left - len(keep)
     shaped = dm.entries.reshape(
         2**n_left, 2 ** len(keep), 2**n_right, 2**n_left, 2 ** len(keep), 2**n_right
     )

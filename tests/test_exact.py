@@ -8,7 +8,6 @@ from spinquench.model import SZ, HamiltonianParams, build_hamiltonian
 from spinquench.exact import (
     DensePropagator,
     DenseState,
-    ed_evolve,
     ed_ground_state,
     ed_hamiltonian,
     ed_rdm,
@@ -99,9 +98,9 @@ def test_evolve_zero_time_and_norm():
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     amps /= np.linalg.norm(amps)
     state = DenseState(amplitudes=amps, n_sites=4)
-    out = ed_evolve(state, HamiltonianParams(1.0, 0.3, 0.1, 4), 0.0)
+    out = DensePropagator(HamiltonianParams(1.0, 0.3, 0.1, 4)).evolve(state, 0.0)
     assert np.max(np.abs(out.amplitudes - amps)) <= 1e-12
-    out = ed_evolve(state, HamiltonianParams(1.0, 0.3, 0.1, 4), 2.7)
+    out = DensePropagator(HamiltonianParams(1.0, 0.3, 0.1, 4)).evolve(state, 2.7)
     assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -109,7 +108,7 @@ def test_single_spin_rotation():
     params = HamiltonianParams(0.0, 1.0, 0.0, 1)
     state = basis_state(1)
     for t in (0.1, 0.5, 1.3):
-        evolved = ed_evolve(state, params, t)
+        evolved = DensePropagator(params).evolve(state, t)
         sz = np.real(evolved.amplitudes.conj() @ (SZ @ evolved.amplitudes))
         assert sz == pytest.approx(np.cos(2 * t), abs=1e-12)
 
@@ -120,7 +119,7 @@ def test_evolve_matches_independent_exponential():
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)
     state = DenseState(amplitudes=amps, n_sites=2)
-    evolved = ed_evolve(state, params, 1.0)
+    evolved = DensePropagator(params).evolve(state, 1.0)
     reference = sla.expm(-1j * ed_hamiltonian(params)) @ amps
     assert np.max(np.abs(evolved.amplitudes - reference)) <= 1e-10
 
@@ -136,6 +135,36 @@ def test_evolution_group_property_and_energy_conservation():
     two_step = propagator.evolve(propagator.evolve(state, 0.9), 0.8)
     assert np.max(np.abs(one_shot.amplitudes - two_step.amplitudes)) <= 1e-10
     assert propagator.energy(one_shot) == pytest.approx(propagator.energy(state), abs=1e-10)
+
+
+def test_evolve_stacks_times_in_one_product():
+    params = HamiltonianParams(1.0, 0.1, 0.5, 8)
+    state, _ = ed_ground_state(HamiltonianParams(0.2, 1.0, 0.0, 8))
+    propagator = DensePropagator(params)
+    times = 0.37 * np.arange(11)
+    stacked = propagator.evolve(state, times)
+    assert stacked.amplitudes.shape == (11, 256)
+    for k, t in enumerate(times):
+        single = propagator.evolve(state, t).amplitudes
+        assert np.max(np.abs(stacked.amplitudes[k] - single)) <= 1e-14
+    with pytest.raises(ValueError, match="single state"):
+        propagator.evolve(stacked, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        propagator.evolve(state, [0.0, np.inf])
+
+
+def test_rdm_of_stacked_states_matches_each_state():
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=(6, 2**7)) + 1j * rng.normal(size=(6, 2**7))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    times = 0.5 * np.arange(6)
+    for sites in ((0,), (2, 3, 4), (5, 6)):
+        stacked = ed_rdm(DenseState(amplitudes=amps, n_sites=7), sites, time_stamp=times)
+        assert stacked.entries.shape == (6, 2 ** len(sites), 2 ** len(sites))
+        assert np.array_equal(stacked.time_stamp, times)
+        for k in range(6):
+            single = ed_rdm(DenseState(amplitudes=amps[k], n_sites=7), sites)
+            assert np.max(np.abs(stacked[k].entries - single.entries)) <= 1e-14
 
 
 def test_rdm_product_state_is_pure():
@@ -155,7 +184,7 @@ def test_rdm_ghz_inner_block():
 def test_rdm_axioms_on_evolved_state():
     params = HamiltonianParams(1.0, 0.1, 0.5, 10)
     state, _ = ed_ground_state(HamiltonianParams(0.2, 1.0, 0.0, 10))
-    evolved = ed_evolve(state, params, 3.0)
+    evolved = DensePropagator(params).evolve(state, 3.0)
     dm = ed_rdm(evolved, (3, 4, 5, 6))
     assert abs(np.trace(dm.entries) - 1.0) <= 1e-12
     assert np.min(np.linalg.eigvalsh(dm.entries)) >= -1e-12

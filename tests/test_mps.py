@@ -269,6 +269,54 @@ def test_density_matrix_validation():
         DensityMatrix(entries=np.diag([1.5, -0.5]).astype(complex), sites=(0,))
 
 
+def random_density_stack(rng, count, dim):
+    mats = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    rho = mats @ mats.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+@pytest.mark.parametrize("bad, message", (
+    (np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex), "not Hermitian"),
+    (np.diag([0.7, 0.7]).astype(complex), r"trace \(1.4\+0j\) is not 1"),
+    (np.diag([1.5, -0.5]).astype(complex), "significantly negative eigenvalue"),
+))
+def test_density_stack_rejects_one_bad_matrix_with_the_single_message(bad, message):
+    stack = random_density_stack(np.random.default_rng(40), 7, 2)
+    DensityMatrix(entries=stack, sites=(0,))
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(entries=bad, sites=(0,))
+    stack[3] = bad
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(entries=stack, sites=(0,))
+
+
+def test_density_stack_rows_are_read_only_views_with_their_spectra():
+    stack = random_density_stack(np.random.default_rng(41), 5, 4)
+    times = 0.1 * np.arange(5)
+    dm = DensityMatrix(entries=stack, sites=(2, 3), time_stamp=times)
+    assert len(dm) == 5
+    assert dm.spectrum().shape == (5, 4)
+    for k, row in enumerate(dm):
+        assert row.entries.shape == (4, 4) and row.sites == (2, 3)
+        assert row.time_stamp == times[k]
+        assert np.array_equal(row.entries, stack[k])
+        assert np.shares_memory(row.spectrum(), dm.spectrum())
+        assert np.array_equal(row.spectrum(), np.linalg.eigvalsh(stack[k]))
+    tail = dm[2:]
+    assert len(tail) == 3 and np.array_equal(tail.time_stamp, times[2:])
+    joined = DensityMatrix.concatenate([dm[:2], tail])
+    assert np.array_equal(joined.entries, dm.entries)
+    assert np.array_equal(joined.spectrum(), dm.spectrum())
+    for array in (dm.entries, dm.spectrum(), dm[1].entries, joined.entries):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    single = dm[0]
+    with pytest.raises(TypeError):
+        len(single)
+    with pytest.raises(TypeError):
+        single[0]
+
+
 def test_truncation_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(cutoff=-1e-9)

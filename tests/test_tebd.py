@@ -107,6 +107,35 @@ def test_matches_dense_oracle(para_ground):
             assert np.max(np.abs(ref.entries - record.rdms[ell][k].entries)) <= 1e-4
 
 
+def test_record_stacks_are_validated_once_and_read_only(para_ground):
+    record = evolve(para_ground.state, short_protocol(t_max=1.0))
+    for ell in (1, 2, 3):
+        stack = record.rdms[ell]
+        assert stack.entries.shape == (record.n_times, 2**ell, 2**ell)
+        assert np.array_equal(stack.time_stamp, record.times)
+        for k in range(record.n_times):
+            assert np.array_equal(stack.spectrum()[k], np.linalg.eigvalsh(stack.entries[k]))
+        with pytest.raises(ValueError, match="read-only"):
+            stack.entries[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0].entries[0, 0] = 1.0
+
+
+def test_invalid_block_state_raises_when_the_record_is_made(para_ground, monkeypatch):
+    original = MpsState.rdm
+    calls = []
+
+    def skewed(self, sites, *args, **kwargs):
+        rho = original(self, sites, *args, **kwargs)
+        calls.append(sites)
+        return 1.5 * rho if len(calls) == 5 else rho
+
+    monkeypatch.setattr(MpsState, "rdm", skewed)
+    with pytest.raises(ValueError, match="is not 1"):
+        evolve(para_ground.state, short_protocol(t_max=0.5))
+    assert len(calls) == 3 * 6  # every snapshot ran before the check
+
+
 def test_determinism(para_ground):
     a = evolve(para_ground.state, short_protocol(t_max=1.0))
     b = evolve(para_ground.state, short_protocol(t_max=1.0))
