@@ -424,6 +424,11 @@ def _run_point(args) -> PointResult:
             "ground_energy": gs.energy,
             "dmrg_converged": gs.converged,
             "dmrg_sweeps": gs.sweeps,
+            "dmrg_matvecs": gs.matvecs,
+            "chi_max_reached_at": _first_time(record.times,
+                                              np.asarray(record.max_bond) >= config.chi_max),
+            "cutoff_exceeded_at": _first_time(record.times,
+                                              record.cumulative_discarded > config.cutoff),
             "max_bond_dimension": int(max(record.max_bond)) if record.max_bond else 0,
             "energy_drift": drift,
             "cumulative_discarded_weight": float(record.cumulative_discarded[-1])
@@ -436,6 +441,12 @@ def _run_point(args) -> PointResult:
         }
     )
     return result
+
+
+def _first_time(times, hits):
+    """The first recorded time at which ``hits`` holds, or None."""
+    index = np.flatnonzero(hits)
+    return float(times[index[0]]) if index.size else None
 
 
 def _fmt(value) -> str:

@@ -2,13 +2,20 @@
 
 Each bond term is split into on-site parts and a remainder whose Kronecker
 factors (an operator Schmidt decomposition) alone get internal MPO states, so
-the Ising chain has MPO width 3. The sweeps are the standard ones: cached
-left/right environments, a smallest-eigenpair solve on each two-site block
-from the halves L.W and W.R (dense up to 32 dims, then a numpy Lanczos with
-full reorthogonalisation and the residual test on a schedule), SVD split with
-truncation, and convergence on the change of the block energy across sweeps.
-The sweeps work in the centre form; the result is handed over in the Schmidt
-form that gates and read-outs need.
+the Ising chain has MPO width 3. The search runs in the dtype of the
+Hamiltonian: a chain whose bond terms have no imaginary part (the Ising chain
+in the sz basis) gets a float64 MPO, start state, environments, block solves
+and splits. The sweeps are the standard ones: cached left/right environments,
+a smallest-eigenpair solve on each two-site block from the halves L.W and W.R
+(dense up to 32 dims, then a numpy Lanczos with full reorthogonalisation and
+the residual test on a schedule), SVD split with truncation, and convergence
+on the change of the block energy across sweeps. Blocks are solved only as
+tightly as the sweep needs: loosely until two sweep energies agree, then once
+more at the final tolerance in one left-to-right polishing half-sweep, as
+TeNPy ties its Lanczos tolerances to the sweeps' convergence (Hauschild and
+Pollmann, SciPost Phys. Lect. Notes 5 (2018)). The sweeps work in the centre
+form; the result is handed over in the Schmidt form that gates and read-outs
+need.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from .model import HamiltonianSpec
 from .mps import MpsState, TruncationPolicy, product_state
 
 _DENSE_SOLVE_DIM = 32
+# relative Ritz residual of the block solves in the sweeps before the polish
+_LOOSE_SOLVER_TOL = 1e-7
 _FACTOR_RANK_TOL = 1e-14
 
 
@@ -47,6 +56,7 @@ class GroundStateResult:
     converged: bool
     sweeps: int
     sweep_energies: tuple
+    matvecs: int  # Lanczos matvecs over the whole search
 
 
 def _bond_factors(term: np.ndarray):
@@ -65,14 +75,19 @@ def _mpo_from_bond_terms(hspec: HamiltonianSpec):
     Tr(T)/4 and Y = Tr_L(T)/2, so R has zero partial traces. X and Y join the
     on-site operator of their site on the ready -> done entry. Internal states
     per bond: 0 = ready, 1..r = first Kronecker factor of R placed, last =
-    done; the Ising bond has r = 1, so width 3 (2 at J = 0).
+    done; the Ising bond has r = 1, so width 3 (2 at J = 0). The tensors
+    are float64 when no bond term has an imaginary part, else complex128.
     """
     n = hspec.n_sites
-    eye = np.eye(2, dtype=complex)
-    onsite = np.zeros((n, 2, 2), dtype=complex)
+    terms = hspec.bond_terms
+    if not any(np.any(term.imag) for term in terms):
+        terms = [term.real for term in terms]  # a real chain gets a float64 MPO
+    dtype = np.result_type(float, *terms)
+    eye = np.eye(2, dtype=dtype)
+    onsite = np.zeros((n, 2, 2), dtype=dtype)
     no_factors = (np.zeros((0, 2, 2)),) * 2
     factors = [no_factors]  # factors[i]: the bond left of site i
-    for i, term in enumerate(hspec.bond_terms):
+    for i, term in enumerate(terms):
         t4 = term.reshape(2, 2, 2, 2)
         x = np.trace(t4, axis1=1, axis2=3) / 2 - np.trace(term) / 4 * eye
         y = np.trace(t4, axis1=0, axis2=2) / 2
@@ -83,7 +98,7 @@ def _mpo_from_bond_terms(hspec: HamiltonianSpec):
     tensors = []
     for i in range(n):
         (_, left), (right, _) = factors[i], factors[i + 1]
-        w = np.zeros((len(left) + 2, len(right) + 2, 2, 2), dtype=complex)
+        w = np.zeros((len(left) + 2, len(right) + 2, 2, 2), dtype=dtype)
         w[0, 0] = w[-1, -1] = eye
         w[0, -1] = onsite[i]
         w[0, 1:-1] = right
@@ -117,11 +132,13 @@ def _lanczos(matvec, v0, tol, maxiter):
     allowed step and where ``beta <= tol``, which alone meets the bound.
     Stops at the first such step where it is at most ``tol * max(1, |E|)``,
     or after ``maxiter`` matvecs, returning the best Ritz pair so far; its
-    energy is the Rayleigh quotient of the returned unit vector.
+    energy is the Rayleigh quotient of the returned unit vector. The Krylov
+    basis has the dtype of ``v0``, so a real ``v0`` and a real symmetric
+    operator keep the whole solve in real arithmetic.
     """
     dim = v0.size
     size = min(maxiter, dim)
-    basis = np.empty((size, dim), dtype=complex)
+    basis = np.empty((size, dim), dtype=v0.dtype)
     tri = np.zeros((size, size))
     basis[0] = v0 / np.linalg.norm(v0)
     for k in range(size):
@@ -143,11 +160,12 @@ def _lanczos(matvec, v0, tol, maxiter):
 
 
 def _solve_block(left_env, right_env, w1, w2, theta0, tol, maxiter):
-    """Smallest eigenpair of the two-site effective Hamiltonian.
+    """Smallest eigenpair of the two-site effective Hamiltonian, and the matvecs used.
 
     The halves L.W1 and W2.R are contracted once per block, laid out so that
     a matvec is two matrix products and a small block's dense matrix is one
-    contraction of the halves over their shared MPO bond.
+    contraction of the halves over their shared MPO bond. ``theta0`` must
+    have the dtype of the operator, which the solve keeps.
     """
     a, _, _, b = theta0.shape
     dim = a * 4 * b
@@ -157,29 +175,34 @@ def _solve_block(left_env, right_env, w1, w2, theta0, tol, maxiter):
     if dim <= _DENSE_SOLVE_DIM:
         heff = np.tensordot(lw, wr, axes=(2, 0)).transpose(0, 1, 6, 7, 2, 3, 4, 5)
         evals, evecs = np.linalg.eigh(heff.reshape(dim, dim))
-        return float(evals[0]), evecs[:, 0].reshape(a, 2, 2, b)
+        return float(evals[0]), evecs[:, 0].reshape(a, 2, 2, b), 0
 
     lw = lw.reshape(-1, 2 * a)
     wr = wr.reshape(-1, 2 * b)
+    calls = 0
 
     def matvec(vec):
+        nonlocal calls
+        calls += 1
         return ((lw @ vec.reshape(2 * a, 2 * b)).reshape(2 * a, -1) @ wr).reshape(dim)
 
     energy, vec = _lanczos(matvec, theta0.reshape(dim), tol, maxiter)
-    return energy, vec.reshape(a, 2, 2, b)
+    return energy, vec.reshape(a, 2, 2, b), calls
 
 
-def _initial_state(hspec: HamiltonianSpec, seed: int) -> MpsState:
-    """Random product state; tilted towards spin-up in the symmetric ordered phase
-    so the search lands on one symmetry-broken branch deterministically."""
+def _initial_state(hspec: HamiltonianSpec, seed: int, dtype) -> MpsState:
+    """Random product state in ``dtype``; tilted towards spin-up in the symmetric
+    ordered phase so the search lands on one symmetry-broken branch deterministically."""
     params = hspec.params
     rng = np.random.default_rng(seed)
     tilt = params.h_z == 0.0 and abs(params.coupling) > abs(params.h_x)
     local = []
     for _ in range(params.n_sites):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v = rng.normal(size=2)
+        if dtype == complex:
+            v = v + 1j * rng.normal(size=2)
         if tilt:
-            v = np.array([1.0, 0.2], dtype=complex) + 0.05 * v
+            v = np.array([1.0, 0.2]) + 0.05 * v
         local.append(v / np.linalg.norm(v))
     return product_state(local)
 
@@ -189,48 +212,69 @@ def ground_state(
 ) -> GroundStateResult:
     """Variational ground-state search by two-site sweeps.
 
-    Sweeps until the energy of the last block solved in a sweep changes by
-    less than ``energy_tol``; if the budget runs out first, the best state
-    found is returned with ``converged=False``. The returned state is in the
-    Schmidt form, ready for gates and read-outs, and the returned energy is
-    its expectation value.
+    Full sweeps solve each block to the relative residual
+    ``_LOOSE_SOLVER_TOL`` until the energies of the last block solved in two
+    sweeps agree within ``energy_tol``; a Ritz energy's error is quadratic in
+    the residual, so loose solves do not move the sweep energies. One
+    left-to-right half-sweep over every block at the final tolerance
+    (``energy_tol / 10``) then polishes the state, and the search has
+    converged if its energy also agrees; if not, full sweeps go on at the
+    final tolerance. If the budget of full sweeps runs out first, the best
+    state found is returned with ``converged=False``. The returned state is in
+    the Schmidt form, ready for gates and read-outs, and the returned energy
+    is its expectation value.
     """
     settings = settings or DmrgSettings()
     n = hspec.n_sites
     mpo = _mpo_from_bond_terms(hspec)
-    state = _initial_state(hspec, seed)
+    state = _initial_state(hspec, seed, mpo[0].dtype)
 
     left_env = [None] * n
     right_env = [None] * n
-    boundary = np.ones((1, 1, 1), dtype=complex)
+    boundary = np.ones((1, 1, 1), dtype=mpo[0].dtype)
     left_env[0] = boundary
     right_env[n - 1] = boundary
     for i in range(n - 1, 0, -1):
         right_env[i - 1] = _contract_right(right_env[i], state.tensors[i], mpo[i])
 
-    solver_tol = settings.energy_tol / 10.0
-    sweep_energies = []
-    converged = False
-    for sweep in range(settings.max_sweeps):
-        for i in range(0, n - 2):
-            theta = np.tensordot(state.tensors[i], state.tensors[i + 1], axes=(2, 0))
-            _, theta = _solve_block(
-                left_env[i], right_env[i + 1], mpo[i], mpo[i + 1],
-                theta, solver_tol, settings.local_solver_iters,
-            )
-            state.split_pair(i, theta, settings.policy, "right")
-            left_env[i + 1] = _contract_left(left_env[i], state.tensors[i], mpo[i])
-        for i in range(n - 2, -1, -1):
-            theta = np.tensordot(state.tensors[i], state.tensors[i + 1], axes=(2, 0))
-            block_energy, theta = _solve_block(
-                left_env[i], right_env[i + 1], mpo[i], mpo[i + 1],
-                theta, solver_tol, settings.local_solver_iters,
-            )
-            state.split_pair(i, theta, settings.policy, "left")
-            right_env[i] = _contract_right(right_env[i + 1], state.tensors[i + 1], mpo[i + 1])
+    matvecs = 0
 
-        sweep_energies.append(block_energy)
-        if len(sweep_energies) >= 2 and abs(sweep_energies[-1] - sweep_energies[-2]) < settings.energy_tol:
+    def half_sweep(blocks, center_side, tol):
+        """Solve and split ``blocks`` in order; returns the last block's energy."""
+        nonlocal matvecs
+        block_energy = None
+        for i in blocks:
+            theta = np.tensordot(state.tensors[i], state.tensors[i + 1], axes=(2, 0))
+            block_energy, theta, calls = _solve_block(
+                left_env[i], right_env[i + 1], mpo[i], mpo[i + 1],
+                theta, tol, settings.local_solver_iters,
+            )
+            matvecs += calls
+            state.split_pair(i, theta, settings.policy, center_side)
+            if center_side == "right":
+                left_env[i + 1] = _contract_left(left_env[i], state.tensors[i], mpo[i])
+            else:
+                right_env[i] = _contract_right(right_env[i + 1], state.tensors[i + 1], mpo[i + 1])
+        return block_energy
+
+    final_tol = settings.energy_tol / 10.0
+    tol = max(final_tol, _LOOSE_SOLVER_TOL)
+    sweep_energies = []
+    converged = right_done = False
+    while len(sweep_energies) < settings.max_sweeps:
+        if not right_done:
+            half_sweep(range(n - 2), "right", tol)
+        sweep_energies.append(half_sweep(range(n - 2, -1, -1), "left", tol))
+        right_done = False
+        if len(sweep_energies) < 2 or abs(sweep_energies[-1] - sweep_energies[-2]) >= settings.energy_tol:
+            continue
+        if tol == final_tol:
+            converged = True
+            break
+        # a failed polish is the first half of the next sweep at the final tolerance
+        tol, right_done = final_tol, True
+        polished = half_sweep(range(n - 1), "right", tol)
+        if abs(polished - sweep_energies[-1]) < settings.energy_tol:
             converged = True
             break
 
@@ -241,4 +285,5 @@ def ground_state(
         converged=converged,
         sweeps=len(sweep_energies),
         sweep_energies=tuple(sweep_energies),
+        matvecs=matvecs,
     )

@@ -154,13 +154,17 @@ class MpsState:
     ``schmidt_values`` is None in the centre form. In the Schmidt form it
     holds one array per cut j = 0..N: the unit-norm singular values across
     the cut left of site j (``[1]`` at both ends). Every tensor is then a
-    right isometry and ``ortho_center`` is 0.
+    right isometry and ``ortho_center`` is 0. The tensors share one dtype:
+    float64 when all are real, else complex128. A ground state of a real
+    chain stays real; the first gate makes the tensors it writes complex.
     """
 
-    def __init__(self, tensors, ortho_center=None):
-        tensors = [np.asarray(t, dtype=complex) for t in tensors]
+    def __init__(self, tensors, ortho_center):
+        tensors = [np.asarray(t) for t in tensors]
         if not tensors:
             raise ValueError("an MPS needs at least one site")
+        dtype = complex if any(np.iscomplexobj(t) for t in tensors) else float
+        tensors = [t.astype(dtype, copy=False) for t in tensors]
         if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
             raise ValueError("boundary bond dimensions must be 1")
         for i, t in enumerate(tensors):
@@ -168,7 +172,7 @@ class MpsState:
                 raise ValueError(f"site tensor {i} has shape {t.shape}, expected (l, 2, r)")
             if i + 1 < len(tensors) and t.shape[2] != tensors[i + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
-        if ortho_center is not None and not 0 <= ortho_center < len(tensors):
+        if not 0 <= ortho_center < len(tensors):
             raise ValueError(f"orthogonality centre {ortho_center} out of range")
         self.tensors = tensors
         self.ortho_center = ortho_center
@@ -214,12 +218,7 @@ class MpsState:
             raise ValueError(f"centre {center} out of range for {n} sites")
         if center != self.ortho_center:
             self.schmidt_values = None
-        if self.ortho_center is None:
-            for i in range(center):
-                self._shift_center_right(i)
-            for i in range(n - 1, center, -1):
-                self._shift_center_left(i)
-        elif self.ortho_center < center:
+        if self.ortho_center < center:
             for i in range(self.ortho_center, center):
                 self._shift_center_right(i)
         else:
@@ -536,10 +535,13 @@ def _svd_split(theta: np.ndarray, policy: TruncationPolicy):
 
 
 def product_state(local_states) -> MpsState:
-    """Bond-dimension-1 MPS from per-site amplitude pairs (each unit norm)."""
+    """Bond-dimension-1 MPS from per-site amplitude pairs (each unit norm).
+
+    The state is real (float64) when every pair is, else complex128.
+    """
     tensors = []
     for j, amp in enumerate(local_states):
-        amp = np.asarray(amp, dtype=complex)
+        amp = np.asarray(amp)
         if amp.shape != (2,):
             raise ValueError(f"site {j}: expected an amplitude pair, got shape {amp.shape}")
         if abs(np.linalg.norm(amp) - 1.0) > 1e-12:

@@ -25,7 +25,7 @@ def random_state(n_sites: int, chi: int, rng) -> MpsState:
         t = rng.normal(size=(dl, 2, dr)) + 1j * rng.normal(size=(dl, 2, dr))
         tensors.append(t)
         dl = dr
-    state = MpsState(tensors)
+    state = MpsState(tensors, n_sites - 1)
     state.canonicalize(0)
     state.tensors[0] /= np.linalg.norm(state.tensors[0])
     return state

@@ -512,3 +512,42 @@ def test_oracle_check_does_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=120)
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
+CRAMPED = """
+name: cramped
+seed: 1
+system: {sites: 12}
+quench:
+  pre:  {J: 1.0, h_x: 0.1, h_z: 0.5}
+  post: {J: 0.2, h_x: 1.0, h_z: 0.0}
+  t_max: 5.0
+  tau: 0.01
+  record_stride: 10
+truncation: {cutoff: 1.0e-9, chi_max: 2}
+analysis:
+  subsystem_sizes: [1]
+  delta_grid: [0.1]
+"""
+
+
+@pytest.mark.parametrize("text, name, limited", ((BASE, "demo", False), (CRAMPED, "cramped", True)))
+def test_manifest_says_where_accuracy_ends(tmp_path, text, name, limited):
+    config = load_config(write_config(tmp_path, text))
+    out = tmp_path / "out"
+    run_quench_experiment(config, output_dir=out)
+    run = json.loads((out / "manifest.json").read_text())["runs"][name]
+    assert run["dmrg_converged"]
+    assert isinstance(run["dmrg_matvecs"], int) and run["dmrg_matvecs"] >= 0
+    if not limited:  # bonds stay far below chi_max 50, discards below the cutoff
+        assert run["max_bond_dimension"] < config.chi_max
+        assert run["cumulative_discarded_weight"] <= config.cutoff
+        assert run["chi_max_reached_at"] is None and run["cutoff_exceeded_at"] is None
+        return
+    # the pre-quench ground state already fills chi_max = 2; the discards pass
+    # the cutoff later, on the record grid, before the run aborts
+    assert run["aborted"]
+    assert run["chi_max_reached_at"] == 0.0
+    exceeded = run["cutoff_exceeded_at"]
+    assert 0.0 < exceeded <= run["achieved_t_max"]
+    assert exceeded / 0.1 == pytest.approx(round(exceeded / 0.1), abs=1e-9)

@@ -8,6 +8,7 @@ from spinquench.model import SX, SY, SZ, HamiltonianParams, HamiltonianSpec, bui
 from spinquench.dmrg import DmrgSettings, ground_state, _bond_factors, _mpo_from_bond_terms
 from spinquench.dmrg import _contract_left, _contract_right, _lanczos, _solve_block
 from spinquench.exact import ed_ground_state, ed_hamiltonian
+from spinquench.mps import TruncationPolicy
 
 from helpers import local_expectation
 
@@ -124,6 +125,75 @@ def test_matches_free_fermion_energy_beyond_dense_reach(coupling, h_x, n_sites):
     assert abs(result.energy - free_fermion_energy(coupling, h_x, n_sites)) <= 1e-9
 
 
+@pytest.mark.parametrize("n_sites", (8, 10))
+def test_ground_state_overlaps_dense_one(n_sites):
+    # the polish half-sweep solves every block to the final tolerance
+    params = HamiltonianParams(0.2, 1.0, 0.0, n_sites)
+    result = ground_state(build_hamiltonian(params), DmrgSettings(), seed=3)
+    reference, _ = ed_ground_state(params)
+    overlap = abs(np.vdot(reference.amplitudes, result.state.to_statevector()))
+    assert overlap >= 1 - 1e-12
+
+
+def test_real_chain_is_solved_in_real_arithmetic():
+    spec = build_hamiltonian(HamiltonianParams(1.0, 1.0, 0.3, 10))
+    assert all(w.dtype == np.float64 for w in _mpo_from_bond_terms(spec))
+    result = ground_state(spec, DmrgSettings(), seed=3)
+    assert all(t.dtype == np.float64 for t in result.state.tensors)
+    assert abs(result.energy - ed_ground_state(spec.params)[1]) <= 1e-9
+
+
+def test_complex_chain_stays_complex():
+    spec = random_spec(6, np.random.default_rng(23))
+    assert all(w.dtype == np.complex128 for w in _mpo_from_bond_terms(spec))
+    result = ground_state(spec, DmrgSettings(), seed=3)
+    assert result.converged
+    assert all(t.dtype == np.complex128 for t in result.state.tensors)
+    dense = sum(
+        np.kron(np.kron(np.eye(2**b), t), np.eye(2 ** (6 - b - 2)))
+        for b, t in enumerate(spec.bond_terms)
+    )
+    assert abs(result.energy - np.linalg.eigvalsh(dense)[0]) <= 1e-9
+
+
+# the pre-quench states of the benchmark workloads: (J, h_x, h_z), sites,
+# chi_max and the full sweeps they take; the loose sweeps add none
+@pytest.mark.parametrize("triple, n_sites, chi_max, sweeps", (
+    ((0.2, 1.0, 0.0), 60, 50, 2),
+    ((0.2, 1.0, 0.0), 16, 50, 2),
+    ((0.2, 1.0, 0.0), 8, 50, 2),
+    ((1.0, 1.0, 0.0), 24, 25, 4),
+))
+def test_workload_ground_states_keep_their_sweeps(triple, n_sites, chi_max, sweeps):
+    spec = build_hamiltonian(HamiltonianParams(*triple, n_sites))
+    settings = DmrgSettings(policy=TruncationPolicy(cutoff=1e-9, chi_max=chi_max))
+    for seed in (0, 3):
+        result = ground_state(spec, settings, seed=seed)
+        assert result.converged
+        assert result.sweeps == sweeps
+        assert result.matvecs > 0
+        if n_sites == 24:  # 2,560 with every block solved to the final tolerance
+            assert result.matvecs < 2000
+
+
+def test_failed_polish_keeps_sweeping_at_final_tolerance(monkeypatch):
+    # loose solves report energies 1e-6 too high, so the loose sweeps agree
+    # with each other but not with the polish half-sweep
+    def shifted(left_env, right_env, w1, w2, theta0, tol, maxiter):
+        energy, theta, calls = _solve_block(left_env, right_env, w1, w2, theta0, tol, maxiter)
+        return energy + (1e-6 if tol == dmrg._LOOSE_SOLVER_TOL else 0.0), theta, calls
+
+    monkeypatch.setattr(dmrg, "_solve_block", shifted)
+    params = HamiltonianParams(0.2, 1.0, 0.0, 10)
+    result = ground_state(build_hamiltonian(params), DmrgSettings(), seed=3)
+    assert result.converged
+    assert result.sweeps == 4  # two loose, then two at the final tolerance
+    assert result.sweep_energies[1] - result.sweep_energies[2] == pytest.approx(1e-6, abs=1e-9)
+    assert abs(result.energy - ed_ground_state(params)[1]) <= 1e-10
+    cut_short = ground_state(build_hamiltonian(params), DmrgSettings(max_sweeps=2), seed=3)
+    assert not cut_short.converged and cut_short.sweeps == 2
+
+
 def test_variational_bound_and_monotone_sweeps():
     rng = np.random.default_rng(41)
     for trial in range(3):
@@ -232,6 +302,22 @@ def test_lanczos_stops_when_krylov_space_closes():
         assert np.linalg.norm(herm @ vec - energy * vec) <= 1e-12
 
 
+def test_lanczos_keeps_real_arithmetic():
+    rng = np.random.default_rng(137)
+    m = rng.normal(size=(200, 200))
+    sym = m + m.T
+    seen = []
+
+    def matvec(v):
+        seen.append(v.dtype)
+        return sym @ v
+
+    energy, vec = _lanczos(matvec, rng.normal(size=200), 1e-12, 200)
+    assert set(seen) == {np.dtype(np.float64)} and vec.dtype == np.float64
+    assert abs(energy - np.linalg.eigvalsh(sym)[0]) <= 1e-12
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_lanczos_out_of_iterations_returns_variational_pair():
     herm, v0 = _random_hermitian(300, 59)
     lowest = np.linalg.eigvalsh(herm)[0]
@@ -288,7 +374,8 @@ def test_dense_block_solve_returns_lowest_pair(monkeypatch):
     monkeypatch.setattr(dmrg, "_DENSE_SOLVE_DIM", heff.shape[0])
     monkeypatch.setattr(dmrg, "_lanczos", None)  # the dense path must not reach it
     assert np.max(np.abs(heff - heff.conj().T)) <= 1e-12
-    energy, vec = _solve_block(left, right, w1, w2, theta, 1e-12, 50)
+    energy, vec, matvecs = _solve_block(left, right, w1, w2, theta, 1e-12, 50)
+    assert matvecs == 0
     evals = np.linalg.eigvalsh(heff)
     assert abs(energy - evals[0]) <= 1e-12 * max(1.0, abs(evals[0]))
     vec = vec.reshape(-1)
@@ -300,7 +387,8 @@ def test_blocks_up_to_32_dims_are_solved_densely(monkeypatch):
     left, right, w1, w2, theta, heff = _random_block(2, 4, 127)
     assert heff.shape[0] == dmrg._DENSE_SOLVE_DIM == 32
     monkeypatch.setattr(dmrg, "_lanczos", None)  # the dense path must not reach it
-    energy, _ = _solve_block(left, right, w1, w2, theta, 1e-12, 50)
+    energy, _, matvecs = _solve_block(left, right, w1, w2, theta, 1e-12, 50)
+    assert matvecs == 0
     assert abs(energy - np.linalg.eigvalsh(heff)[0]) <= 1e-12 * max(1.0, abs(energy))
 
 
@@ -314,8 +402,9 @@ def test_blocks_above_32_dims_go_to_lanczos(monkeypatch):
         return _lanczos(*args)
 
     monkeypatch.setattr(dmrg, "_lanczos", counted)
-    energy, vec = _solve_block(left, right, w1, w2, theta, 1e-12, 100)
+    energy, vec, matvecs = _solve_block(left, right, w1, w2, theta, 1e-12, 100)
     assert calls == [1]
+    assert 0 < matvecs <= 64
     evals = np.linalg.eigvalsh(heff)
     assert abs(energy - evals[0]) <= 1e-12 * max(1.0, abs(evals[0]))
     vec = vec.reshape(-1)

@@ -70,6 +70,20 @@ def test_product_state_rejects_unnormalised():
         product_state([(1.0, 1.0)])
 
 
+def test_state_dtype_follows_its_amplitudes():
+    real = product_state([UP, DOWN, UP])
+    assert all(t.dtype == np.float64 for t in real.tensors)
+    assert all(t.dtype == np.float64 for t in real.copy().to_schmidt_form().tensors)
+    mixed = product_state([UP, (0.0, 1.0j), UP])
+    assert all(t.dtype == np.complex128 for t in mixed.tensors)
+    # a gate makes the tensors it writes complex
+    real.to_schmidt_form().apply_two_site_gate(BELL_GATE, 0, TruncationPolicy())
+    assert [t.dtype for t in real.tensors] == [np.complex128, np.complex128, np.float64]
+    assert all(t.dtype == np.complex128 for t in real.copy().tensors)
+    with pytest.raises(TypeError):
+        MpsState(real.tensors)  # the orthogonality centre is required
+
+
 def test_canonicalize_product_state_keeps_bonds():
     state = product_state([UP, DOWN, UP, DOWN])
     for center in range(4):
@@ -474,7 +488,7 @@ def uneven_schmidt_state(rng):
     dims = [1, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2, 1]
     tensors = [rng.normal(size=(dims[j], 2, dims[j + 1]))
                + 1j * rng.normal(size=(dims[j], 2, dims[j + 1])) for j in range(12)]
-    return MpsState(tensors).to_schmidt_form()
+    return MpsState(tensors, 0).to_schmidt_form()
 
 
 @pytest.mark.parametrize("policy", [
@@ -668,7 +682,7 @@ def test_gate_layer_with_gram_splits_matches_gates_one_by_one(monkeypatch):
     dims = [1, 2, 4, 8] + [16] * 9 + [8, 4, 2, 1]
     tensors = [rng.normal(size=(dims[j], 2, dims[j + 1]))
                + 1j * rng.normal(size=(dims[j], 2, dims[j + 1])) for j in range(16)]
-    layered = MpsState(tensors).to_schmidt_form()
+    layered = MpsState(tensors, 0).to_schmidt_form()
     single = layered.copy()
     policy = TruncationPolicy(cutoff=1e-9, chi_max=24)
     gram_ranks = set()

@@ -74,6 +74,18 @@ def test_initial_state_is_not_mutated(para_ground):
         assert np.array_equal(old, new)
 
 
+def test_real_ground_state_evolves_like_its_complex_copy(para_ground):
+    assert all(t.dtype == np.float64 for t in para_ground.state.tensors)
+    twin = MpsState([t.astype(complex) for t in para_ground.state.tensors], 0)
+    protocol = short_protocol(t_max=0.5)
+    real_record, complex_record = evolve(para_ground.state, protocol), evolve(twin, protocol)
+    assert np.max(np.abs(real_record.energies - complex_record.energies)) <= 1e-11
+    for ell in protocol.subsystem_sizes:
+        assert real_record.rdms[ell].entries.dtype == np.complex128
+        deviation = np.abs(real_record.rdms[ell].entries - complex_record.rdms[ell].entries)
+        assert np.max(deviation) <= 1e-11  # rounding, amplified by the Gram splits
+
+
 def test_decoupled_spins_precess_analytically():
     params = HamiltonianParams(0.0, 1.0, 0.0, 6)
     protocol = QuenchProtocol(
