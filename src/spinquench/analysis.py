@@ -237,10 +237,6 @@ class ExtremaReport:
     def n_extrema(self) -> int:
         return len(self.locations)
 
-    @property
-    def defined(self) -> bool:
-        return self.mean_gap is not None
-
 
 def extrema_gaps(xs, ys, kind: str, smoothing_window: int = 1) -> ExtremaReport:
     """Consecutive spacing of local extrema of a uniformly sampled series.

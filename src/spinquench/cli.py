@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, fields, replace, asdict
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -58,29 +58,121 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+_POSITIVE = ("a positive number", lambda value: value > 0)
+_NON_NEGATIVE = ("a non-negative number", lambda value: value >= 0)
+_DELTA_RANGE = {"start": 0.1, "stop": 4.0, "step": 0.1}  # the range's defaults, and the default grid
+
+
+def _integer(low):
+    """An int >= ``low``; a bool is not an integer."""
+    def parse(raw):
+        if isinstance(raw, bool) or not isinstance(raw, int) or raw < low:
+            raise ValueError(f"must be an integer >= {low}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _number(rule=("a finite number", math.isfinite)):
+    """A finite float meeting ``rule`` (text, test). A numeric string counts, as PyYAML
+    reads ``1e-9``, the form ``json.dumps`` writes, as ``'1e-09'``; a bool does not."""
+    def parse(raw):
+        try:
+            value = math.nan if isinstance(raw, bool) else float(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if not (math.isfinite(value) and rule[1](value)):
+            raise ValueError(f"must be {rule[0]}, got {raw!r}")
+        return value
+    return parse
+
+
+def _one_of(choices):
+    def parse(raw):
+        if raw not in choices:
+            raise ValueError(f"must be one of {choices}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _unique_list(item):
+    """A non-empty list of ``item`` values, repeats dropped in order."""
+    def parse(raw):
+        if not isinstance(raw, list) or not raw:
+            raise ValueError(f"must be a non-empty list, got {raw!r}")
+        try:
+            return tuple(dict.fromkeys(map(item, raw)))
+        except ValueError as err:
+            raise ValueError(f"entries {err}") from None
+    return parse
+
+
+def _numbers(defaults):
+    """A mapping of numbers as a tuple in the order of ``defaults``, which fill in left-out keys."""
+    def parse(raw):
+        if not isinstance(raw, dict) or not set(raw) <= set(defaults):
+            raise ValueError(f"must be a mapping of {', '.join(defaults)}, got {raw!r}")
+        return tuple(_number()(raw.get(key, default)) for key, default in defaults.items())
+    return parse
+
+
+_couplings = _numbers({"J": 0.0, "h_x": 0.0, "h_z": 0.0})
+
+
+def _delta_grid(raw):
+    """Separations from a list, or from a range {start, stop, step} with both ends included."""
+    if isinstance(raw, list):
+        return _unique_list(_number(_NON_NEGATIVE))(raw)
+    start, stop, step = _numbers(_DELTA_RANGE)(raw)
+    if start < 0 or step <= 0 or stop < start:
+        raise ValueError(f"needs start >= 0, step > 0 and stop >= start, got {raw!r}")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(start + k * step for k in range(count))
+
+
+def _name(raw):
+    """The name starts every CSV row: no comma, double quote or line break."""
+    if any(char in str(raw) for char in ',"\n\r'):
+        raise ValueError(f"may not contain a comma, a double quote or a line break, got {raw!r}")
+    return str(raw)
+
+
+def _key(path, yaml_default, parse, **field_args):
+    """A row of the config table: the YAML ``path`` (keys joined by dots) of a field,
+    the YAML value that stands in for a key left out, and the parser of the value."""
+    row = (tuple(path.split(".")), yaml_default, parse)
+    return field(metadata={"config": row}, **field_args)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str
-    seed: int
-    n_sites: int
-    pre: tuple  # (J, h_x, h_z)
-    post: tuple
-    t_max: float
-    tau: float
-    record_stride: int
-    cutoff: float
-    chi_max: int
-    max_sweeps: int
-    energy_tol: float
-    local_solver_iters: int
-    subsystem_sizes: tuple
-    delta_grid: tuple
-    measures: tuple
-    series_smoothing: int
-    curve_smoothing: int
-    sweep_axis: str | None = None
-    sweep_values: tuple = ()
-    output_dir: str = "out"
+    """One experiment. Its fields are the config table that ``load_config`` reads.
+
+    A ``None`` default leaves a key required: its parser refuses ``None``. A
+    config without a name takes its file's stem. Without a sweep section the
+    sweep fields keep their dataclass defaults.
+    """
+
+    name: str = _key("name", None, _name)
+    seed: int = _key("seed", 0, _integer(0))
+    n_sites: int = _key("system.sites", None, _integer(2))
+    pre: tuple = _key("quench.pre", None, _couplings)  # (J, h_x, h_z)
+    post: tuple = _key("quench.post", None, _couplings)
+    t_max: float = _key("quench.t_max", 20.0, _number(_POSITIVE))
+    tau: float = _key("quench.tau", 0.01, _number(_POSITIVE))
+    record_stride: int = _key("quench.record_stride", 10, _integer(1))
+    cutoff: float = _key("truncation.cutoff", 1e-9, _number(_NON_NEGATIVE))
+    chi_max: int = _key("truncation.chi_max", 50, _integer(1))
+    max_sweeps: int = _key("dmrg.max_sweeps", 30, _integer(1))
+    energy_tol: float = _key("dmrg.energy_tol", 1e-10, _number(_POSITIVE))
+    local_solver_iters: int = _key("dmrg.local_solver_iters", 100, _integer(1))
+    subsystem_sizes: tuple = _key("analysis.subsystem_sizes", [1, 2, 3, 4], _unique_list(_integer(1)))
+    delta_grid: tuple = _key("analysis.delta_grid", _DELTA_RANGE, _delta_grid)
+    measures: tuple = _key("analysis.measures", ["td", "tvd"], _unique_list(_one_of(("td", "tvd"))))
+    series_smoothing: int = _key("analysis.series_smoothing", 1, _integer(1))
+    curve_smoothing: int = _key("analysis.curve_smoothing", 3, _integer(1))
+    sweep_axis: str | None = _key("sweep.axis", None, _one_of(SWEEP_AXES), default=None)
+    sweep_values: tuple = _key("sweep.values", None, _unique_list(_number()), default=())
+    output_dir: str = _key("output_dir", "out", str, default="out")
 
     def pre_params(self) -> HamiltonianParams:
         return HamiltonianParams(*self.pre, self.n_sites)
@@ -111,47 +203,12 @@ class ExperimentConfig:
         )
 
 
-def _section(doc, key, errors, allowed):
-    sub = doc.get(key, {})
-    if sub is None:
-        sub = {}
-    if not isinstance(sub, dict):
-        errors.append(f"section '{key}' must be a mapping")
-        return {}
-    unknown = set(sub) - set(allowed)
-    for bad in sorted(unknown):
-        errors.append(f"unknown key '{key}.{bad}'")
-    return sub
-
-
-def _fields(mapping, prefix, errors):
-    if not isinstance(mapping, dict):
-        errors.append(f"'{prefix}' must be a mapping with J, h_x, h_z")
-        return (0.0, 0.0, 0.0)
-    unknown = set(mapping) - {"J", "h_x", "h_z"}
-    for bad in sorted(unknown):
-        errors.append(f"unknown key '{prefix}.{bad}'")
-    return tuple(
-        _number(mapping, name, 0.0, f"{prefix}.{name}", errors) for name in ("J", "h_x", "h_z")
-    )
-
-
-def _number(mapping, key, default, label, errors) -> float:
-    """``mapping[key]`` as a finite float; on failure an error item and ``default``."""
-    raw = mapping.get(key, default)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        errors.append(f"'{label}' must be a number, got {raw!r}")
-        return default
-    if not math.isfinite(value):
-        errors.append(f"'{label}' must be finite")
-        return default
-    return value
-
-
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a YAML experiment config; raises ConfigError."""
+    """Parse and validate a YAML experiment config by the table of ``ExperimentConfig`` fields.
+
+    Every unknown key, every field that breaks its parser's rule and every
+    failed check across fields is one item of the raised ``ConfigError``.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError([f"config file not found: {path}"])
@@ -161,181 +218,48 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError([f"invalid YAML: {err}"]) from err
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be a mapping"])
+    doc.setdefault("name", path.stem)
 
-    errors: list = []
-    top_allowed = {
-        "name", "seed", "output_dir", "system", "quench",
-        "truncation", "dmrg", "analysis", "sweep",
-    }
-    for bad in sorted(set(doc) - top_allowed):
-        errors.append(f"unknown key '{bad}'")
+    table = [(row.name, *row.metadata["config"]) for row in fields(ExperimentConfig)]
+    sections = {keys[0]: doc.get(keys[0]) for _, keys, _, _ in table if len(keys) == 2}
+    errors = [f"section '{key}' must be a mapping" for key, sub in sections.items()
+              if not isinstance(sub, (dict, type(None)))]
+    sections = {key: sub if isinstance(sub, dict) else {} for key, sub in sections.items()}
+    known = {keys[:depth] for _, keys, _, _ in table for depth in (1, 2)}
+    given = [(key,) for key in doc] + [(key, sub) for key, value in sections.items() for sub in value]
+    errors += [f"unknown key '{'.'.join(map(str, key))}'" for key in given if key not in known]
 
-    name = str(doc.get("name", path.stem))
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append(f"'seed' must be an integer, got {seed!r}")
-        seed = 0
-    output_dir = str(doc.get("output_dir", "out"))
+    values = {}
+    for name, keys, default, parse in table:
+        if keys[0] == "sweep" and not sections["sweep"]:
+            continue
+        raw = (sections[keys[0]] if len(keys) == 2 else doc).get(keys[-1], default)
+        try:
+            values[name] = parse(raw)
+        except ValueError as err:
+            errors.append(f"'{'.'.join(keys)}' {err}")
 
-    system = _section(doc, "system", errors, {"sites"})
-    n_sites = system.get("sites")
-    sites_ok = isinstance(n_sites, int) and n_sites >= 2
-    if not sites_ok:
-        errors.append("'system.sites' must be an integer >= 2")
-        n_sites = 2
-
-    quench = _section(
-        doc, "quench", errors, {"pre", "post", "t_max", "tau", "record_stride"}
-    )
-    if "pre" not in quench or "post" not in quench:
-        errors.append("'quench.pre' and 'quench.post' are required")
-    pre = _fields(quench.get("pre", {}), "quench.pre", errors)
-    post = _fields(quench.get("post", {}), "quench.post", errors)
-    t_max = _number(quench, "t_max", 20.0, "quench.t_max", errors)
-    tau = _number(quench, "tau", 0.01, "quench.tau", errors)
-    record_stride = quench.get("record_stride", 10)
-    if t_max <= 0:
-        errors.append("'quench.t_max' must be positive")
-    if tau <= 0:
-        errors.append("'quench.tau' must be positive")
-    if not isinstance(record_stride, int) or record_stride < 1:
-        errors.append("'quench.record_stride' must be an integer >= 1")
-        record_stride = 1
-
-    trunc = _section(doc, "truncation", errors, {"cutoff", "chi_max"})
-    cutoff = _number(trunc, "cutoff", 1e-9, "truncation.cutoff", errors)
-    chi_max = trunc.get("chi_max", 50)
-    if cutoff < 0:
-        errors.append("'truncation.cutoff' must be non-negative")
-    if not isinstance(chi_max, int) or chi_max < 1:
-        errors.append("'truncation.chi_max' must be an integer >= 1")
-        chi_max = 1
-
-    dmrg = _section(
-        doc, "dmrg", errors, {"max_sweeps", "energy_tol", "local_solver_iters"}
-    )
-    max_sweeps = dmrg.get("max_sweeps", 30)
-    energy_tol = _number(dmrg, "energy_tol", 1e-10, "dmrg.energy_tol", errors)
-    local_iters = dmrg.get("local_solver_iters", 100)
-    if not isinstance(max_sweeps, int) or max_sweeps < 1:
-        errors.append("'dmrg.max_sweeps' must be an integer >= 1")
-        max_sweeps = 1
-    if energy_tol <= 0:
-        errors.append("'dmrg.energy_tol' must be positive")
-    if not isinstance(local_iters, int) or local_iters < 1:
-        errors.append("'dmrg.local_solver_iters' must be an integer >= 1")
-        local_iters = 1
-
-    analysis = _section(
-        doc, "analysis", errors,
-        {"subsystem_sizes", "delta_grid", "measures", "series_smoothing", "curve_smoothing"},
-    )
-    sizes = analysis.get("subsystem_sizes", [1, 2, 3, 4])
-    if not isinstance(sizes, list) or not all(isinstance(s, int) and s >= 1 for s in sizes):
-        errors.append("'analysis.subsystem_sizes' must be a list of positive integers")
-        sizes = [1]
-    size_cap = min(RDM_SITE_CAP, n_sites) if sites_ok else RDM_SITE_CAP
-    if any(s > size_cap for s in sizes):
-        errors.append(
-            f"'analysis.subsystem_sizes' entries must be at most {size_cap} "
-            f"(the block cap {RDM_SITE_CAP} and system.sites), got {sizes}"
-        )
-    spacing = record_stride * tau
-    grid_spec = analysis.get("delta_grid", {"start": 0.1, "stop": 4.0, "step": 0.1})
-    deltas = _parse_delta_grid(grid_spec, spacing, errors)
-    measures = analysis.get("measures", ["td", "tvd"])
-    if not isinstance(measures, list) or not all(m in ("td", "tvd") for m in measures):
-        errors.append("'analysis.measures' entries must be 'td' or 'tvd'")
-        measures = ["td"]
-    series_smoothing = analysis.get("series_smoothing", 1)
-    curve_smoothing = analysis.get("curve_smoothing", 3)
-    for label, value in (("series_smoothing", series_smoothing), ("curve_smoothing", curve_smoothing)):
-        if not isinstance(value, int) or value < 1:
-            errors.append(f"'analysis.{label}' must be an integer >= 1")
-
-    sweep = _section(doc, "sweep", errors, {"axis", "values"})
-    sweep_axis = sweep.get("axis")
-    sweep_values: tuple = ()
-    if sweep:
-        if sweep_axis not in SWEEP_AXES:
-            errors.append(f"'sweep.axis' must be one of {SWEEP_AXES}, got {sweep_axis!r}")
-            sweep_axis = None
-        raw_values = sweep.get("values", [])
-        if not isinstance(raw_values, list) or not raw_values:
-            errors.append("'sweep.values' must be a non-empty list of numbers")
-        else:
-            try:
-                sweep_values = tuple(float(v) for v in raw_values)
-            except (TypeError, ValueError):
-                errors.append("'sweep.values' must be numbers")
-            if any(not math.isfinite(v) for v in sweep_values):
-                errors.append("'sweep.values' must be finite")
+    # the two checks that read more than one field run whenever their fields parsed
+    if {"n_sites", "subsystem_sizes"} <= values.keys():
+        cap = min(RDM_SITE_CAP, values["n_sites"])
+        if max(values["subsystem_sizes"]) > cap:
+            errors.append(f"'analysis.subsystem_sizes' entries must be at most {cap} (the block "
+                          f"cap {RDM_SITE_CAP} and system.sites), got {values['subsystem_sizes']}")
+    if {"delta_grid", "tau", "record_stride"} <= values.keys():
+        spacing = values["record_stride"] * values["tau"]
+        snapped = []
+        for v in values["delta_grid"]:
+            ratio = v / spacing
+            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
+                errors.append(f"'analysis.delta_grid' entry {v:g} is not a multiple of the "
+                              f"record spacing {spacing:g}")
+            else:
+                snapped.append(round(ratio) * spacing)
+        values["delta_grid"] = tuple(dict.fromkeys(snapped))
 
     if errors:
         raise ConfigError(errors)
-
-    return ExperimentConfig(
-        name=name,
-        seed=seed,
-        n_sites=n_sites,
-        pre=pre,
-        post=post,
-        t_max=t_max,
-        tau=tau,
-        record_stride=record_stride,
-        cutoff=cutoff,
-        chi_max=chi_max,
-        max_sweeps=max_sweeps,
-        energy_tol=energy_tol,
-        local_solver_iters=local_iters,
-        subsystem_sizes=tuple(sizes),
-        delta_grid=deltas,
-        measures=tuple(dict.fromkeys(measures)),
-        series_smoothing=series_smoothing,
-        curve_smoothing=curve_smoothing,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-        output_dir=output_dir,
-    )
-
-
-def _parse_delta_grid(spec, spacing, errors):
-    """Delta values must sit on the recording grid; off-grid entries are errors."""
-    if isinstance(spec, dict):
-        unknown = set(spec) - {"start", "stop", "step"}
-        for bad in sorted(unknown):
-            errors.append(f"unknown key 'analysis.delta_grid.{bad}'")
-        try:
-            start = float(spec.get("start", 0.1))
-            stop = float(spec.get("stop", 4.0))
-            step = float(spec.get("step", 0.1))
-        except (TypeError, ValueError):
-            errors.append("'analysis.delta_grid' start/stop/step must be numbers")
-            return ()
-        if step <= 0 or stop < start:
-            errors.append("'analysis.delta_grid' needs step > 0 and stop >= start")
-            return ()
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + k * step for k in range(count)]
-    elif isinstance(spec, list):
-        try:
-            values = [float(v) for v in spec]
-        except (TypeError, ValueError):
-            errors.append("'analysis.delta_grid' entries must be numbers")
-            return ()
-    else:
-        errors.append("'analysis.delta_grid' must be a mapping or a list")
-        return ()
-    deltas = []
-    for v in values:
-        ratio = v / spacing
-        if abs(ratio - round(ratio)) > 1e-6:
-            errors.append(
-                f"delta {v:g} is not a multiple of the record spacing {spacing:g}"
-            )
-        else:
-            deltas.append(round(ratio) * spacing)
-    return tuple(deltas)
+    return ExperimentConfig(**values)
 
 
 # -- pipeline ----------------------------------------------------------------
@@ -425,6 +349,7 @@ def _run_point(args) -> PointResult:
             "dmrg_converged": gs.converged,
             "dmrg_sweeps": gs.sweeps,
             "dmrg_matvecs": gs.matvecs,
+            "dmrg_discarded_weight": gs.discarded_weight,
             "chi_max_reached_at": _first_time(record.times,
                                               np.asarray(record.max_bond) >= config.chi_max),
             "cutoff_exceeded_at": _first_time(record.times,

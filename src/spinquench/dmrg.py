@@ -57,6 +57,7 @@ class GroundStateResult:
     sweeps: int
     sweep_energies: tuple
     matvecs: int  # Lanczos matvecs over the whole search
+    discarded_weight: float  # by the splits of the last half-sweep, which made ``state``
 
 
 def _bond_factors(term: np.ndarray):
@@ -238,11 +239,12 @@ def ground_state(
         right_env[i - 1] = _contract_right(right_env[i], state.tensors[i], mpo[i])
 
     matvecs = 0
+    discarded = 0.0
 
     def half_sweep(blocks, center_side, tol):
         """Solve and split ``blocks`` in order; returns the last block's energy."""
-        nonlocal matvecs
-        block_energy = None
+        nonlocal matvecs, discarded
+        block_energy, discarded = None, 0.0
         for i in blocks:
             theta = np.tensordot(state.tensors[i], state.tensors[i + 1], axes=(2, 0))
             block_energy, theta, calls = _solve_block(
@@ -250,7 +252,7 @@ def ground_state(
                 theta, tol, settings.local_solver_iters,
             )
             matvecs += calls
-            state.split_pair(i, theta, settings.policy, center_side)
+            discarded += state.split_pair(i, theta, settings.policy, center_side)
             if center_side == "right":
                 left_env[i + 1] = _contract_left(left_env[i], state.tensors[i], mpo[i])
             else:
@@ -286,4 +288,5 @@ def ground_state(
         sweeps=len(sweep_energies),
         sweep_energies=tuple(sweep_energies),
         matvecs=matvecs,
+        discarded_weight=discarded,
     )

@@ -130,10 +130,3 @@ def ed_rdm(state: DenseState, sites, time_stamp=0.0) -> DensityMatrix:
     rho = m @ m.conj().swapaxes(-1, -2)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     return DensityMatrix(entries=rho, sites=sites, time_stamp=time_stamp)
-
-
-def statevector_from_mps(mps_state) -> DenseState:
-    """Densify an MPS for direct comparison against the reference pipeline."""
-    vec = mps_state.to_statevector()
-    vec = vec / np.linalg.norm(vec)
-    return DenseState(amplitudes=vec, n_sites=mps_state.n_sites)

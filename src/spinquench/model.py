@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
@@ -90,7 +89,6 @@ class TrotterScheme:
 
     tau: float
     gate_layers: tuple
-    order: int = 2
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -154,4 +152,4 @@ def build_trotter_gates(hspec: HamiltonianSpec, tau: float) -> TrotterScheme:
     full = tuple(
         (b, _bond_exponential(hspec.bond_terms[b], tau)) for b in range(1, n_bonds, 2)
     )
-    return TrotterScheme(tau=tau, gate_layers=(half, full, half), order=2)
+    return TrotterScheme(tau=tau, gate_layers=(half, full, half))

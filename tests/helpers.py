@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from spinquench.exact import DenseState
 from spinquench.mps import DensityMatrix, MpsState, product_state
 
 
@@ -46,3 +47,9 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
     )
     rho = np.einsum("aibajb->ij", shaped)
     return DensityMatrix(entries=rho, sites=keep, time_stamp=dm.time_stamp)
+
+
+def statevector_from_mps(mps_state) -> DenseState:
+    """Densify an MPS for direct comparison against the dense reference."""
+    vec = mps_state.to_statevector()
+    return DenseState(amplitudes=vec / np.linalg.norm(vec), n_sites=mps_state.n_sites)

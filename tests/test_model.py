@@ -105,7 +105,6 @@ def test_gate_unitarity_random_params():
 def test_layer_structure():
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.3, 0.2, 7))
     scheme = build_trotter_gates(spec, 0.02)
-    assert scheme.order == 2
     assert len(scheme.gate_layers) == 3
     assert [b for b, _ in scheme.gate_layers[0]] == [0, 2, 4]
     assert [b for b, _ in scheme.gate_layers[1]] == [1, 3, 5]

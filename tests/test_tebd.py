@@ -7,9 +7,9 @@ from spinquench.model import SZ, HamiltonianParams, build_hamiltonian
 from spinquench.mps import MpsState, TruncationPolicy
 from spinquench.dmrg import DmrgSettings, ground_state
 from spinquench.tebd import EvolutionRecord, QuenchProtocol, centered_block, evolve
-from spinquench.exact import DensePropagator, ed_rdm, statevector_from_mps
+from spinquench.exact import DensePropagator, ed_rdm
 
-from helpers import all_plus_state, all_up_state
+from helpers import all_plus_state, all_up_state, statevector_from_mps
 
 PARA = HamiltonianParams(0.2, 1.0, 0.0, 10)
 FERRO = HamiltonianParams(1.0, 0.1, 0.5, 10)
