@@ -18,10 +18,8 @@ from .mps import (
 from .dmrg import DmrgSettings, GroundStateResult, ground_state
 from .tebd import EvolutionRecord, QuenchProtocol, evolve
 from .analysis import (
-    DegreeCurve,
     DistanceSeries,
     degree,
-    degree_vs_delta,
     distance_series,
     extrema_gaps,
     slope_series,
@@ -45,10 +43,8 @@ __all__ = [
     "EvolutionRecord",
     "QuenchProtocol",
     "evolve",
-    "DegreeCurve",
     "DistanceSeries",
     "degree",
-    "degree_vs_delta",
     "distance_series",
     "extrema_gaps",
     "slope_series",

@@ -4,9 +4,9 @@ Two distances: the trace distance (half the absolute-eigenvalue sum of the
 difference) and, as its spectrum-only counterpart, the total variation
 distance between descendingly sorted eigenvalue vectors. A run's distance
 series at a fixed temporal separation feeds a discrete slope; the sum of the
-positive slopes is the revival degree, scanned over separations to give a
-degree curve. Extremum spacing on either kind of series yields the
-characteristic timescales.
+positive slopes is the revival degree, and ``cli._analyse_record`` scans it
+over separations to give a degree curve. Extremum spacing on either kind of
+series yields the characteristic timescales.
 
 Each measure has one definition, written over stacks of states, that serves
 both a single pair and a whole series. A series is computed in one batch
@@ -131,32 +131,13 @@ class DistanceSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeCurve:
-    """Revival degree over a grid of temporal separations."""
-
-    measure: str
-    ell: int
-    deltas: np.ndarray
-    degrees: np.ndarray
-    window: tuple
-
-    def __post_init__(self):
-        if len(self.deltas) != len(self.degrees):
-            raise ValueError("deltas and degrees must have equal length")
-        if len(self.deltas) > 1 and np.min(np.diff(self.deltas)) <= 0:
-            raise ValueError("delta grid must be strictly increasing")
-        if len(self.degrees) and np.min(self.degrees) < 0:
-            raise ValueError("degrees must be non-negative")
-
-
 def distance_series(
     record: EvolutionRecord, ell: int, delta: float, measure: str
 ) -> DistanceSeries:
     """Series value at t_k: distance between the block states at t_k + delta and t_k.
 
-    All values come from one batched evaluation over the stacked block states;
-    a stacked ``DensityMatrix`` is sliced as it is, a list is stacked first.
+    All values come from one batched evaluation over slices of the record's
+    stacked block states.
     """
     key = _check_measure(measure)
     if ell not in record.rdms:
@@ -167,10 +148,7 @@ def distance_series(
     values = np.zeros(0)
     if n_pairs:
         read, formula = _MEASURES[key]
-        if isinstance(rdms, DensityMatrix):
-            stack = read(rdms)
-        else:
-            stack = np.array([read(rho) for rho in rdms])
+        stack = read(rdms)
         values = formula(stack[offset:], stack[:n_pairs])
     return DistanceSeries(
         measure=key,
@@ -181,47 +159,18 @@ def distance_series(
     )
 
 
-def _check_step(series: DistanceSeries, step: float):
+def slope_series(series: DistanceSeries) -> np.ndarray:
+    """Discrete forward-difference slope of the series, over its own spacing."""
     if len(series) < 2:
         raise ValueError("series must contain at least two values")
-    if abs(step - series.spacing) > _SPACING_TOL:
-        raise ValueError(f"step {step} does not match the series spacing {series.spacing}")
+    return np.diff(series.values) / series.spacing
 
 
-def slope_series(series: DistanceSeries, step: float) -> np.ndarray:
-    """Discrete forward-difference slope of the series."""
-    _check_step(series, step)
-    return np.diff(series.values) / step
-
-
-def degree(series: DistanceSeries, step: float) -> float:
+def degree(series: DistanceSeries) -> float:
     """Cumulative magnitude of revivals: the sum of strictly positive slopes."""
-    slopes = slope_series(series, step)
+    slopes = slope_series(series)
     positive = slopes[slopes > _REVIVAL_FLOOR]
     return float(positive.sum())
-
-
-def degree_vs_delta(
-    record: EvolutionRecord,
-    ell: int,
-    delta_grid,
-    measure: str,
-    step: float | None = None,
-) -> DegreeCurve:
-    """Revival degree at each separation of the grid (grid-aligned deltas only)."""
-    key = _check_measure(measure)
-    step = record.spacing if step is None else step
-    degrees = [
-        degree(distance_series(record, ell, d, key), step) for d in delta_grid
-    ]
-    window = (float(record.times[0]), float(record.times[-1]))
-    return DegreeCurve(
-        measure=key,
-        ell=ell,
-        deltas=np.asarray(delta_grid, dtype=float),
-        degrees=np.array(degrees),
-        window=window,
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -129,6 +129,15 @@ def _delta_grid(raw):
     return tuple(start + k * step for k in range(count))
 
 
+def _sweep_values(raw):
+    """Sweep values that name distinct points: each ``quench_id`` writes its value as the
+    CSVs write floats."""
+    values = _unique_list(_number())(raw)
+    if len({_fmt(value) for value in values}) < len(values):
+        raise ValueError(f"entries must differ within 15 significant digits, got {raw!r}")
+    return values
+
+
 def _name(raw):
     """The name starts every CSV row: no comma, double quote or line break."""
     if any(char in str(raw) for char in ',"\n\r'):
@@ -171,7 +180,7 @@ class ExperimentConfig:
     series_smoothing: int = _key("analysis.series_smoothing", 1, _integer(1))
     curve_smoothing: int = _key("analysis.curve_smoothing", 3, _integer(1))
     sweep_axis: str | None = _key("sweep.axis", None, _one_of(SWEEP_AXES), default=None)
-    sweep_values: tuple = _key("sweep.values", None, _unique_list(_number()), default=())
+    sweep_values: tuple = _key("sweep.values", None, _sweep_values, default=())
     output_dir: str = _key("output_dir", "out", str, default="out")
 
     def pre_params(self) -> HamiltonianParams:
@@ -247,15 +256,20 @@ def load_config(path) -> ExperimentConfig:
                           f"cap {RDM_SITE_CAP} and system.sites), got {values['subsystem_sizes']}")
     if {"delta_grid", "tau", "record_stride"} <= values.keys():
         spacing = values["record_stride"] * values["tau"]
-        snapped = []
+        multiples = []
         for v in values["delta_grid"]:
             ratio = v / spacing
             if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
                 errors.append(f"'analysis.delta_grid' entry {v:g} is not a multiple of the "
                               f"record spacing {spacing:g}")
             else:
-                snapped.append(round(ratio) * spacing)
-        values["delta_grid"] = tuple(dict.fromkeys(snapped))
+                multiples.append(round(ratio))
+        multiples = list(dict.fromkeys(multiples))
+        steps = set(np.diff(multiples))  # the degree curve's extrema need a uniform grid
+        if len(steps) > 1 or min(steps, default=1) < 0:
+            errors.append(f"'analysis.delta_grid' must be strictly increasing and evenly "
+                          f"spaced, got {list(values['delta_grid'])}")
+        values["delta_grid"] = tuple(k * spacing for k in multiples)
 
     if errors:
         raise ConfigError(errors)
@@ -273,7 +287,7 @@ def _quench_points(config: ExperimentConfig):
     points = []
     for value in config.sweep_values:
         post = replace(config.post_params(), **{field_name: value})
-        points.append((f"{config.name}:{config.sweep_axis}={value:g}", post))
+        points.append((f"{config.name}:{config.sweep_axis}={_fmt(value)}", post))
     return points
 
 
@@ -289,7 +303,7 @@ class PointResult:
 
 def _analyse_record(config: ExperimentConfig, quench_id: str, record: EvolutionRecord,
                     result: PointResult):
-    window = (float(record.times[0]), float(record.times[-1])) if record.n_times else (0.0, 0.0)
+    window = (float(record.times[0]), float(record.times[-1]))
     for measure in config.measures:
         for ell in config.subsystem_sizes:
             curve_degrees = []
@@ -300,7 +314,7 @@ def _analyse_record(config: ExperimentConfig, quench_id: str, record: EvolutionR
                         (quench_id, measure, ell, series.delta, float(t), float(value))
                     )
                 if len(series) >= 2:
-                    deg = degree(series, record.spacing)
+                    deg = degree(series)
                     result.degree_rows.append(
                         (quench_id, measure, ell, series.delta, deg, window[0], window[1])
                     )
@@ -338,7 +352,7 @@ def _run_point(args) -> PointResult:
     record = evolve(gs.state, config.protocol(post))
     _analyse_record(config, quench_id, record, result)
     drift = 0.0
-    if record.n_times and record.energies[0] != 0:
+    if record.energies[0] != 0:
         drift = float(np.max(np.abs(record.energies - record.energies[0]))
                       / abs(record.energies[0]))
     result.aborted = record.aborted
@@ -354,12 +368,11 @@ def _run_point(args) -> PointResult:
                                               np.asarray(record.max_bond) >= config.chi_max),
             "cutoff_exceeded_at": _first_time(record.times,
                                               record.cumulative_discarded > config.cutoff),
-            "max_bond_dimension": int(max(record.max_bond)) if record.max_bond else 0,
+            "max_bond_dimension": int(max(record.max_bond)),
             "energy_drift": drift,
-            "cumulative_discarded_weight": float(record.cumulative_discarded[-1])
-            if record.n_times else 0.0,
+            "cumulative_discarded_weight": float(record.cumulative_discarded[-1]),
             "recorded_times": record.n_times,
-            "achieved_t_max": float(record.times[-1]) if record.n_times else 0.0,
+            "achieved_t_max": float(record.times[-1]),
             "aborted": record.aborted,
             "abort_reason": record.abort_reason,
             "wall_seconds": time.perf_counter() - start,

@@ -37,7 +37,6 @@ import numpy as np
 from .model import HamiltonianSpec
 
 RDM_SITE_CAP = 6
-RDM_DEFAULT_MAX = 4
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -381,11 +380,10 @@ class MpsState:
 
     # -- read-outs -----------------------------------------------------------
 
-    def rdm(self, sites, time_stamp=0.0, max_sites=RDM_DEFAULT_MAX, validate=True):
-        """Reduced density matrix of a contiguous block of sites, a local contraction.
-
-        With ``validate=False`` the Hermitian matrix itself comes back, unchecked,
-        for a caller that validates many of them as one stacked ``DensityMatrix``.
+    def rdm(self, sites) -> np.ndarray:
+        """Hermitian matrix of a contiguous block of at most ``RDM_SITE_CAP`` sites,
+        a local contraction. It comes back unchecked: ``evolve`` validates a run's
+        matrices of one block as one stacked ``DensityMatrix``.
         """
         schmidt = self._schmidt("a block density matrix")
         sites = tuple(sites)
@@ -393,9 +391,8 @@ class MpsState:
             raise ValueError(f"sites {sites} must be a non-empty contiguous range")
         if sites[0] < 0 or sites[-1] >= self.n_sites:
             raise ValueError(f"sites {sites} outside chain of {self.n_sites} sites")
-        cap = min(max_sites, RDM_SITE_CAP)
-        if len(sites) > cap:
-            raise ValueError(f"block of {len(sites)} sites exceeds the cap of {cap}")
+        if len(sites) > RDM_SITE_CAP:
+            raise ValueError(f"block of {len(sites)} sites exceeds the cap of {RDM_SITE_CAP}")
 
         block = schmidt[sites[0]][:, None, None] * self.tensors[sites[0]]
         for s in range(sites[0] + 1, sites[-1] + 1):
@@ -404,10 +401,7 @@ class MpsState:
         dim = 2 ** len(sites)
         m = block.reshape(block.shape[0], dim, -1).transpose(1, 0, 2).reshape(dim, -1)
         rho = m @ m.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        if not validate:
-            return rho
-        return DensityMatrix(entries=rho, sites=sites, time_stamp=time_stamp)
+        return 0.5 * (rho + rho.conj().T)
 
     def energy(self, hspec: HamiltonianSpec) -> float:
         """Sum of bond-term expectations, one local contraction per bond."""

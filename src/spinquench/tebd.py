@@ -65,9 +65,8 @@ class EvolutionRecord:
 
     ``rdms[ell][k]`` is the block density matrix of size ``ell`` at
     ``times[k]``; ``energies``, ``max_bond`` and ``cumulative_discarded`` are
-    parallel to ``times``. ``evolve`` stores each ``rdms[ell]`` as one stacked
-    ``DensityMatrix`` with entries (n_times, d, d); a list of single states
-    (or of plain matrices) serves as well.
+    parallel to ``times``. Each ``rdms[ell]`` is one stacked ``DensityMatrix``
+    with entries (n_times, d, d).
     """
 
     times: np.ndarray
@@ -91,10 +90,6 @@ class EvolutionRecord:
     @property
     def n_times(self) -> int:
         return len(self.times)
-
-    @property
-    def subsystem_sizes(self):
-        return sorted(self.rdms.keys())
 
     def grid_offset(self, delta: float) -> int:
         """Index offset for a temporal separation; rejects off-grid values."""
@@ -156,7 +151,7 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
         max_bonds.append(max(state.bond_dims) if n > 1 else 1)
         cum_discarded.append(total_discarded)
         for ell, sites in blocks.items():
-            rdms[ell].append(state.rdm(sites, max_sites=max(ell, 4), validate=False))
+            rdms[ell].append(state.rdm(sites))
         return True
 
     if not snapshot(0):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from spinquench.analysis import degree, distance_series
 from spinquench.exact import DenseState
 from spinquench.mps import DensityMatrix, MpsState, product_state
 
@@ -34,7 +35,7 @@ def random_state(n_sites: int, chi: int, rng) -> MpsState:
 
 def local_expectation(state: MpsState, op, site: int) -> float:
     """<op> on one site of a Schmidt-form state, read from that site's RDM."""
-    return float(np.real(np.trace(state.rdm((site,)).entries @ op)))
+    return float(np.real(np.trace(state.rdm((site,)) @ op)))
 
 
 def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
@@ -53,3 +54,9 @@ def statevector_from_mps(mps_state) -> DenseState:
     """Densify an MPS for direct comparison against the dense reference."""
     vec = mps_state.to_statevector()
     return DenseState(amplitudes=vec / np.linalg.norm(vec), n_sites=mps_state.n_sites)
+
+
+def degree_curve(record, ell, grid, measure) -> np.ndarray:
+    """The revival degree at each separation of ``grid``, by the two calls that
+    ``cli._analyse_record`` makes for ``degrees.csv``."""
+    return np.array([degree(distance_series(record, ell, d, measure)) for d in grid])

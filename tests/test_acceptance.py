@@ -15,14 +15,14 @@ from spinquench.mps import DensityMatrix, TruncationPolicy
 from spinquench.dmrg import DmrgSettings, ground_state
 from spinquench.tebd import EvolutionRecord, QuenchProtocol, evolve
 from spinquench.analysis import (
-    degree,
-    degree_vs_delta,
     distance_series,
     extrema_gaps,
     total_variation_distance,
     trace_distance,
 )
 from spinquench.exact import DensePropagator, ed_ground_state, ed_rdm
+
+from helpers import degree_curve
 
 ACCEPTANCE_RESULTS = {}
 
@@ -76,14 +76,18 @@ def oracle_deviations(n_sites, t_max=5.0):
     gs, record = run_quench(PARA, FERRO, n_sites, t_max, sizes=sizes)
     ref_state, ref_energy = ed_ground_state(params(PARA, n_sites))
     propagator = DensePropagator(params(FERRO, n_sites))
-    ref_rdms = {ell: [] for ell in sizes}
+    ref_entries = {ell: [] for ell in sizes}
     rdm_dev = 0.0
     for k, t in enumerate(record.times):
         psi = propagator.evolve(ref_state, float(t))
         for ell in sizes:
             dm = ed_rdm(psi, record.blocks[ell], time_stamp=float(t))
-            ref_rdms[ell].append(dm)
+            ref_entries[ell].append(dm.entries)
             rdm_dev = max(rdm_dev, float(np.max(np.abs(dm.entries - record.rdms[ell][k].entries))))
+    ref_rdms = {
+        ell: DensityMatrix(entries=np.array(rows), sites=record.blocks[ell], time_stamp=record.times)
+        for ell, rows in ref_entries.items()
+    }
     ref_record = EvolutionRecord(
         times=record.times, spacing=record.spacing, rdms=ref_rdms, blocks=record.blocks,
         energies=record.energies, max_bond=record.max_bond,
@@ -178,18 +182,17 @@ def test_criterion_4_markovian_null():
     bloch = np.array([0.4, -0.3, 0.5])
     spacing, n_times, gamma = 0.1, 201, 0.6
     times = np.arange(n_times) * spacing
-    rdms = {1: []}
+    entries = []
     for t in times:
         r = bloch * np.exp(-gamma * t)
-        rho = 0.5 * (np.eye(2, dtype=complex) + sum(c * p for c, p in zip(r, paulis)))
-        rdms[1].append(DensityMatrix(entries=rho, sites=(0,), time_stamp=t))
+        entries.append(0.5 * (np.eye(2, dtype=complex) + sum(c * p for c, p in zip(r, paulis))))
     record = EvolutionRecord(
-        times=times, spacing=spacing, rdms=rdms, blocks={1: (0,)},
-        energies=np.zeros(n_times), max_bond=[1] * n_times,
+        times=times, spacing=spacing,
+        rdms={1: DensityMatrix(entries=np.array(entries), sites=(0,), time_stamp=times)},
+        blocks={1: (0,)}, energies=np.zeros(n_times), max_bond=[1] * n_times,
         cumulative_discarded=np.zeros(n_times),
     )
-    curve = degree_vs_delta(record, 1, DELTA_GRID, "td")
-    largest = float(np.max(curve.degrees))
+    largest = float(np.max(degree_curve(record, 1, DELTA_GRID, "td")))
     record_result(
         4, largest == 0.0,
         f"depolarizing semigroup: max TD-degree over default grid {largest:.1e} (must be 0)",
@@ -197,10 +200,7 @@ def test_criterion_4_markovian_null():
 
 
 def mean_degrees(record, measure):
-    return {
-        ell: float(degree_vs_delta(record, ell, DELTA_GRID, measure).degrees.mean())
-        for ell in SIZES
-    }
+    return {ell: float(degree_curve(record, ell, DELTA_GRID, measure).mean()) for ell in SIZES}
 
 
 def test_criterion_5_directional_asymmetry(headline_records):
@@ -271,8 +271,8 @@ def test_criterion_9_degree_curve_timescale(headline_records):
     locations = {}
     mean_gaps = {}
     for ell in (2, 3, 4):
-        curve = degree_vs_delta(headline_records["pf"], ell, DELTA_GRID, "tvd")
-        report = extrema_gaps(curve.deltas, curve.degrees, "maxima", smoothing_window=3)
+        curve = degree_curve(headline_records["pf"], ell, DELTA_GRID, "tvd")
+        report = extrema_gaps(np.asarray(DELTA_GRID), curve, "maxima", smoothing_window=3)
         assert report.mean_gap is not None
         locations[ell] = report.locations
         mean_gaps[ell] = report.mean_gap

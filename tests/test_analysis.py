@@ -10,13 +10,14 @@ from spinquench.tebd import EvolutionRecord, QuenchProtocol, evolve
 from spinquench.analysis import (
     DistanceSeries,
     degree,
-    degree_vs_delta,
     distance_series,
     extrema_gaps,
     slope_series,
     total_variation_distance,
     trace_distance,
 )
+
+from helpers import degree_curve
 
 UP = np.array([[1, 0], [0, 0]], dtype=complex)
 DOWN = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -32,12 +33,7 @@ def random_density_matrix(rng, dim):
 def make_record(rdm_entries, spacing=0.1, ell=1, sites=(0,)):
     n = len(rdm_entries)
     times = np.arange(n) * spacing
-    rdms = {
-        ell: [
-            DensityMatrix(entries=e, sites=sites, time_stamp=t)
-            for e, t in zip(rdm_entries, times)
-        ]
-    }
+    rdms = {ell: DensityMatrix(entries=np.array(rdm_entries), sites=sites, time_stamp=times)}
     return EvolutionRecord(
         times=times, spacing=spacing, rdms=rdms, blocks={ell: sites},
         energies=np.zeros(n), max_bond=[1] * n, cumulative_discarded=np.zeros(n),
@@ -124,14 +120,8 @@ def test_density_matrix_spectrum_is_cached_and_read_only(quench_record):
         assert not spectrum.flags.writeable
 
 
-def test_tvd_series_rejects_spectrum_without_weight():
+def test_tvd_rejects_spectrum_without_weight():
     zero = np.zeros((2, 2), dtype=complex)
-    record = EvolutionRecord(
-        times=np.arange(3) * 0.1, spacing=0.1, rdms={1: [UP, zero, UP]}, blocks={1: (0,)},
-        energies=np.zeros(3), max_bond=[1] * 3, cumulative_discarded=np.zeros(3),
-    )
-    with pytest.raises(ValueError, match="no positive weight"):
-        distance_series(record, 1, 0.1, "tvd")
     with pytest.raises(ValueError, match="no positive weight"):
         total_variation_distance(UP, zero)
 
@@ -173,45 +163,42 @@ def make_series(values, spacing=0.01):
 
 
 def test_slope_reference_points():
-    assert np.allclose(slope_series(make_series([0.4] * 5), 0.01), 0.0)
-    assert np.allclose(slope_series(make_series([0.5, 0.3]), 0.01), [-20.0])
-    slopes = slope_series(make_series([0.9, 0.7, 0.4, 0.2]), 0.01)
+    assert np.allclose(slope_series(make_series([0.4] * 5)), 0.0)
+    assert np.allclose(slope_series(make_series([0.5, 0.3])), [-20.0])
+    slopes = slope_series(make_series([0.9, 0.7, 0.4, 0.2]))
     assert np.all(slopes < 0)
 
 
 def test_slope_validates_step_and_length():
     with pytest.raises(ValueError):
-        slope_series(make_series([0.5]), 0.01)
-    with pytest.raises(ValueError):
-        slope_series(make_series([0.5, 0.4]), 0.02)
+        slope_series(make_series([0.5]))
+    # the step is the series' own spacing
+    assert np.allclose(slope_series(make_series([0.5, 0.4], spacing=0.02)), [-5.0])
 
 
 def test_degree_reference_points():
-    assert degree(make_series([0.5, 0.4, 0.3, 0.2]), 0.01) == 0.0
-    assert degree(make_series([0.5, 0.3, 0.4, 0.2]), 0.01) == pytest.approx(10.0, abs=1e-9)
+    assert degree(make_series([0.5, 0.4, 0.3, 0.2])) == 0.0
+    assert degree(make_series([0.5, 0.3, 0.4, 0.2])) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_degree_ignores_noise_level_increases():
     values = [0.5, 0.4999999999999999, 0.5 - 1e-15, 0.4]
-    assert degree(make_series(values), 0.01) == 0.0
+    assert degree(make_series(values)) == 0.0
 
 
-def test_degree_vs_delta_stationary_and_single_point():
+def test_degree_curve_stationary_and_single_point():
     rho = np.diag([0.8, 0.2]).astype(complex)
     record = make_record([rho.copy() for _ in range(30)])
-    curve = degree_vs_delta(record, 1, [0.1, 0.2, 0.3], "td")
-    assert np.allclose(curve.degrees, 0.0)
-    assert curve.window == (0.0, pytest.approx(2.9))
-    single = degree_vs_delta(record, 1, [0.5], "tvd")
-    assert len(single.degrees) == 1
-    assert single.degrees[0] == degree(distance_series(record, 1, 0.5, "tvd"), record.spacing)
+    assert np.allclose(degree_curve(record, 1, [0.1, 0.2, 0.3], "td"), 0.0)
+    single = degree_curve(record, 1, [0.5], "tvd")
+    assert len(single) == 1
+    assert single[0] == 0.0
 
 
 def test_markovian_semigroup_has_zero_degree_everywhere():
     record = depolarizing_record()
     grid = np.round(np.arange(0.1, 4.0 + 1e-9, 0.1), 10)
-    curve = degree_vs_delta(record, 1, grid, "td")
-    assert np.max(curve.degrees) == 0.0
+    assert np.max(degree_curve(record, 1, grid, "td")) == 0.0
 
 
 def test_series_range_invariant_on_random_records():
@@ -223,7 +210,7 @@ def test_series_range_invariant_on_random_records():
             series = distance_series(record, 2, delta, measure)
             assert np.min(series.values) >= -1e-12
             assert np.max(series.values) <= 1 + 1e-12
-            assert degree(series, record.spacing) >= 0.0
+            assert degree(series) >= 0.0
 
 
 def test_extrema_on_sine_wave():

@@ -12,6 +12,7 @@ from spinquench.cli import (
     EXIT_OK,
     EXIT_ORACLE,
     ConfigError,
+    _quench_points,
     load_config,
     main,
     run_oracle_check,
@@ -323,6 +324,13 @@ def test_main_version(capsys):
         ("[0.1, 0.2, 0.3]", "[-0.1, 0.1]", "analysis.delta_grid"),
         ("name: demo", 'name: "demo,x"', "name"),
         ("tau: 0.01", "tau: 5.0e-324", "analysis.delta_grid"),
+        # the extrema of the degree curve need a strictly increasing, evenly spaced grid
+        ("[0.1, 0.2, 0.3]", "[0.1, 0.2, 0.4]", "analysis.delta_grid"),
+        ("[0.1, 0.2, 0.3]", "[0.3, 0.1, 0.2]", "analysis.delta_grid"),
+        # two values that one quench_id would name
+        ("record_stride: 10",
+         "record_stride: 10\nsweep: {axis: post.h_z, values: [0.3, 0.30000000000000004]}",
+         "sweep.values"),
     ],
 )
 def test_non_numeric_values_exit_with_config_error(tmp_path, capsys, old, new, label):
@@ -344,6 +352,14 @@ def test_repeated_sweep_values_are_quenched_once(tmp_path):
         "demo:post.h_z=0.3", "demo:post.h_z=0.6"}
     _, rows = read_rows(out / "degrees.csv")
     assert len(rows) == len({tuple(row[:4]) for row in rows}) == 2 * 2 * 2 * 3
+
+
+def test_sweep_ids_write_values_as_the_csvs_do(tmp_path):
+    values = "[0.3, 0.3000001, 0.25, 1.5, 1.0e-5, 123456]"
+    config = load_config(write_config(tmp_path, SWEEP.replace("[0.3, 0.6]", values)))
+    ids = [quench_id for quench_id, _ in _quench_points(config)]
+    assert ids == ["demo:post.h_z=0.3", "demo:post.h_z=0.3000001", "demo:post.h_z=0.25",
+                   "demo:post.h_z=1.5", "demo:post.h_z=1e-05", "demo:post.h_z=123456"]
 
 
 @pytest.mark.parametrize("sites, sizes", [(6, "[1, 7]"), (60, "[9]")])
