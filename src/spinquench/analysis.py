@@ -175,11 +175,10 @@ def degree(series: DistanceSeries) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExtremaReport:
-    """Locations of interior extrema and the spacing statistics between them."""
+    """Locations of interior extrema and their mean spacing."""
 
     kind: str
     locations: np.ndarray
-    gaps: np.ndarray
     mean_gap: float | None
 
     @property
@@ -221,4 +220,4 @@ def extrema_gaps(xs, ys, kind: str, smoothing_window: int = 1) -> ExtremaReport:
     locations = xs[hits]
     gaps = np.diff(locations)
     mean_gap = float(gaps.mean()) if len(gaps) else None
-    return ExtremaReport(kind=kind, locations=locations, gaps=gaps, mean_gap=mean_gap)
+    return ExtremaReport(kind=kind, locations=locations, mean_gap=mean_gap)

@@ -478,8 +478,10 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
 
     The dense reference works through the recorded times in chunks of
     ``_ORACLE_CHUNK``: one propagator product, and one partial trace per block
-    size, for each chunk. A failed run leaves no report: the old one goes
-    first, the new one is written atomically.
+    size, for each chunk; each block size's matrices then become one stacked
+    ``DensityMatrix``. A run that aborted compares what it recorded, fails and
+    exits 3. A failed run leaves no report: the old one goes first, the new
+    one is written atomically.
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
     report_path = out / "oracle_report.json"
@@ -498,18 +500,14 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
     propagator = DensePropagator(post)
     ref_chunks = {ell: [] for ell in config.subsystem_sizes}
     for start in range(0, record.n_times, _ORACLE_CHUNK):
-        times = record.times[start:start + _ORACLE_CHUNK]
-        psi = propagator.evolve(ref_state, times)
-        for ell in config.subsystem_sizes:
-            ref_chunks[ell].append(ed_rdm(psi, record.blocks[ell], time_stamp=times))
-    ref_rdms = {ell: DensityMatrix.concatenate(chunks) for ell, chunks in ref_chunks.items()}
+        psi = propagator.evolve(ref_state, record.times[start:start + _ORACLE_CHUNK])
+        for ell, chunks in ref_chunks.items():
+            chunks.append(ed_rdm(psi, record.rdms[ell].sites))
+    ref_rdms = {ell: DensityMatrix(np.concatenate(chunks), record.rdms[ell].sites)
+                for ell, chunks in ref_chunks.items()}
     rdm_dev = max((float(np.max(np.abs(ref_rdms[ell].entries - record.rdms[ell].entries)))
                    for ell in config.subsystem_sizes), default=0.0)
-    ref_record = EvolutionRecord(
-        times=record.times, spacing=record.spacing, rdms=ref_rdms, blocks=record.blocks,
-        energies=record.energies, max_bond=record.max_bond,
-        cumulative_discarded=record.cumulative_discarded,
-    )
+    ref_record = replace(record, rdms=ref_rdms)
 
     series_dev = 0.0
     for measure in config.measures:
@@ -522,7 +520,8 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
 
     energy_dev = abs(gs.energy - ref_energy)
     passed = (
-        rdm_dev <= ORACLE_RDM_TOL
+        not record.aborted
+        and rdm_dev <= ORACLE_RDM_TOL
         and series_dev <= ORACLE_SERIES_TOL
         and energy_dev <= ORACLE_ENERGY_TOL
     )
@@ -535,12 +534,18 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
         "tolerances": {
             "rdm": ORACLE_RDM_TOL, "series": ORACLE_SERIES_TOL, "energy": ORACLE_ENERGY_TOL,
         },
+        "aborted": record.aborted,
+        "abort_reason": record.abort_reason,
+        "achieved_t_max": float(record.times[-1]),
         "pass": passed,
     }
     _write_atomically(report_path, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     for key in ("max_rdm_deviation", "max_series_deviation", "ground_energy_deviation"):
         print(f"{key}: {report[key]:.3e}")
     print("oracle-check:", "PASS" if passed else "FAIL")
+    if record.aborted:
+        print(f"aborted at t = {report['achieved_t_max']:g}: {record.abort_reason}")
+        return EXIT_NUMERICAL
     return EXIT_OK if passed else EXIT_ORACLE
 
 

@@ -8,7 +8,7 @@ order. In this basis the Hamiltonian is a real symmetric matrix, built
 directly from the bits of the basis index and diagonalised by ``np.linalg.eigh``.
 Evolution and partial traces also work on a stack of states: one propagator
 product evolves a state to many times, and one stacked product reduces them
-all to a stacked ``DensityMatrix``.
+all to a stack of block matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HamiltonianParams
-from .mps import DensityMatrix
 
 MAX_DENSE_SITES = 12
 
@@ -106,15 +105,12 @@ class DensePropagator:
         amps = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
         return DenseState(amplitudes=amps, n_sites=state.n_sites)
 
-    def energy(self, state: DenseState) -> float:
-        return float(np.sum(self._evals * np.abs(self._evecs.T @ state.amplitudes) ** 2))
 
-
-def ed_rdm(state: DenseState, sites, time_stamp=0.0) -> DensityMatrix:
+def ed_rdm(state: DenseState, sites) -> np.ndarray:
     """Exact partial trace of |psi><psi| onto a contiguous block of sites.
 
-    A stack of states gives a stacked ``DensityMatrix``, with ``time_stamp``
-    one time or one per state.
+    Returns the Hermitian matrix unchecked, as ``MpsState.rdm`` does, and for
+    a stack of states the stack (T, d, d) of matrices.
     """
     sites = tuple(sites)
     if not sites or list(sites) != list(range(sites[0], sites[-1] + 1)):
@@ -128,5 +124,4 @@ def ed_rdm(state: DenseState, sites, time_stamp=0.0) -> DensityMatrix:
     psi = state.amplitudes.reshape(*lead, 2**n_left, 2**n_keep, 2**n_right)
     m = psi.swapaxes(-3, -2).reshape(*lead, 2**n_keep, -1)
     rho = m @ m.conj().swapaxes(-1, -2)
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    return DensityMatrix(entries=rho, sites=sites, time_stamp=time_stamp)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))

@@ -8,20 +8,19 @@ dimension 2, boundary bonds of dimension 1. Two gauges are used:
   replaces a solved two-site block and leaves the centre on either of its
   sites, and ``canonicalize`` moves the centre by QR steps.
 - Every gate, block density matrix and energy needs the Schmidt form
-  (``to_schmidt_form``) and raises ``ValueError`` on any other state; only
-  ``to_statevector``, the dense reference, reads either. Every tensor is a
-  right isometry and the singular values of every cut are kept beside the
-  tensors. A gate on any bond (i, i+1) applies to Lambda_i B_i B_{i+1}, and
-  its split needs only the singular values and right vectors, so it keeps the
-  form without touching other sites (Hastings, J. Math. Phys. 50, 095207
-  (2009)); block density matrices and bond energies are local contractions
-  that need no re-gauging. A tall block of 8 or more columns takes its split
-  from ``eigh`` of its Gram matrix, which skips the left vectors that an SVD
-  would build; other blocks are split by SVD. A layer of gates on bonds at
-  least two apart applies at once (``apply_gate_layer``): three or more bonds
-  whose pairs have the same shape share one stacked contraction and one
-  batched decomposition, which returns the same bits as one per pair, so only
-  numpy's per-call overhead is saved.
+  (``to_schmidt_form``) and raises ``ValueError`` on any other state. In it,
+  every tensor is a right isometry and the singular values of every cut are
+  kept beside the tensors. A gate on any bond (i, i+1) applies to
+  Lambda_i B_i B_{i+1}, and its split needs only the singular values and
+  right vectors, so it keeps the form without touching other sites (Hastings,
+  J. Math. Phys. 50, 095207 (2009)); block density matrices and bond energies
+  are local contractions that need no re-gauging. A tall block of 8 or more
+  columns takes its split from ``eigh`` of its Gram matrix, which skips the
+  left vectors that an SVD would build; other blocks are split by SVD. A
+  layer of gates on bonds at least two apart applies at once
+  (``apply_gate_layer``): three or more bonds whose pairs have the same shape
+  share one stacked contraction and one batched decomposition, which returns
+  the same bits as one per pair, so only numpy's per-call overhead is saved.
 
 Both gauges truncate by the same rule: discard the smallest singular values
 within the truncation budget, then renormalise. A decomposition that LAPACK
@@ -67,16 +66,14 @@ class DensityMatrix:
     ``entries`` is one matrix (d, d) or a stack (T, d, d), each checked to be
     Hermitian, of unit trace and positive: a stack by one batched reduction
     and one batched ``eigvalsh``. ``sites`` records which chain sites the block
-    covers, ``time_stamp`` the evolution time of extraction (one per matrix of
-    a stack). The spectra of the positivity check are kept (see ``spectrum``),
+    covers. The spectra of the positivity check are kept (see ``spectrum``),
     so ``entries`` is stored read-only. A stack is a sequence: ``stack[k]`` is
-    the state at ``time_stamp[k]``, a view that reuses the checked row and its
-    spectrum, and a slice is a stack again.
+    its k-th state, a view that reuses the checked row and its spectrum, and a
+    slice is a stack again.
     """
 
     entries: np.ndarray
     sites: tuple
-    time_stamp: float = 0.0
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -96,33 +93,12 @@ class DensityMatrix:
         evals = np.linalg.eigvalsh(rho)
         if np.any(evals[..., 0] < _EIG_FLOOR):
             raise ValueError("density matrix has a significantly negative eigenvalue")
-        if rho.ndim == 3:
-            stamps = np.broadcast_to(np.asarray(self.time_stamp, dtype=float), rho.shape[:1])
-            object.__setattr__(self, "time_stamp", stamps)
         self._keep(rho.view(), evals)
 
     def _keep(self, entries, spectrum):
         entries.flags.writeable = spectrum.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_spectrum", spectrum)
-
-    @classmethod
-    def _checked(cls, entries, sites, time_stamp, spectrum) -> "DensityMatrix":
-        """A state from parts that passed the checks already; nothing is rechecked."""
-        dm = object.__new__(cls)
-        object.__setattr__(dm, "sites", sites)
-        object.__setattr__(dm, "time_stamp", time_stamp)
-        dm._keep(entries, spectrum)
-        return dm
-
-    @classmethod
-    def concatenate(cls, stacks) -> "DensityMatrix":
-        """The states of ``stacks`` of one block, in order, as one stack; nothing is rechecked."""
-        if any(s.sites != stacks[0].sites for s in stacks):
-            raise ValueError("stacks of different blocks cannot be joined")
-        parts = zip(*((s.entries, s.time_stamp, s._spectrum) for s in stacks))
-        entries, stamps, spectra = map(np.concatenate, parts)
-        return cls._checked(entries, stacks[0].sites, stamps, spectra)
 
     def __len__(self) -> int:
         if self.entries.ndim == 2:
@@ -133,9 +109,12 @@ class DensityMatrix:
         """The state at one index or the stack of a slice; iteration goes through here."""
         if self.entries.ndim == 2:
             raise TypeError("a single density matrix is not indexable")
-        stamp = self.time_stamp[index]  # past the end, IndexError ends an iteration
-        stamp = float(stamp) if stamp.ndim == 0 else stamp
-        return self._checked(self.entries[index], self.sites, stamp, self._spectrum[index])
+        # past the end, IndexError ends an iteration; the parts passed the
+        # checks already, so nothing is rechecked
+        dm = object.__new__(DensityMatrix)
+        object.__setattr__(dm, "sites", self.sites)
+        dm._keep(self.entries[index], self._spectrum[index])
+        return dm
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues in ascending order (for a stack, one row per matrix), read-only.
@@ -417,15 +396,6 @@ class MpsState:
         if abs(total.imag) > 1e-10:
             raise ValueError(f"energy has imaginary part {total.imag}")
         return float(total.real)
-
-    def to_statevector(self) -> np.ndarray:
-        """Dense amplitude vector; intended for small chains only."""
-        if self.n_sites > 16:
-            raise ValueError("refusing to densify more than 16 sites")
-        acc = self.tensors[0]
-        for t in self.tensors[1:]:
-            acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
-        return acc.reshape(-1)
 
 
 def _two_site(left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -66,13 +66,12 @@ class EvolutionRecord:
     ``rdms[ell][k]`` is the block density matrix of size ``ell`` at
     ``times[k]``; ``energies``, ``max_bond`` and ``cumulative_discarded`` are
     parallel to ``times``. Each ``rdms[ell]`` is one stacked ``DensityMatrix``
-    with entries (n_times, d, d).
+    with entries (n_times, d, d), and its ``sites`` name the block.
     """
 
     times: np.ndarray
     spacing: float
     rdms: dict
-    blocks: dict
     energies: np.ndarray
     max_bond: list
     cumulative_discarded: np.ndarray
@@ -180,13 +179,11 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
                 abort_reason = "non-finite values during evolution"
                 break
 
-    recorded = np.array(times)
     return EvolutionRecord(
-        times=recorded,
+        times=np.array(times),
         spacing=protocol.record_spacing,
-        rdms={ell: DensityMatrix(entries=np.array(rows), sites=blocks[ell], time_stamp=recorded)
+        rdms={ell: DensityMatrix(entries=np.array(rows), sites=blocks[ell])
               for ell, rows in rdms.items()},
-        blocks=blocks,
         energies=np.array(energies),
         max_bond=max_bonds,
         cumulative_discarded=np.array(cum_discarded),

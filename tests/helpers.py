@@ -47,12 +47,22 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
         2**n_left, 2 ** len(keep), 2**n_right, 2**n_left, 2 ** len(keep), 2**n_right
     )
     rho = np.einsum("aibajb->ij", shaped)
-    return DensityMatrix(entries=rho, sites=keep, time_stamp=dm.time_stamp)
+    return DensityMatrix(entries=rho, sites=keep)
+
+
+def to_statevector(state: MpsState) -> np.ndarray:
+    """Dense amplitude vector of an MPS in either gauge; for small chains only."""
+    if state.n_sites > 16:
+        raise ValueError("refusing to densify more than 16 sites")
+    acc = state.tensors[0]
+    for t in state.tensors[1:]:
+        acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
+    return acc.reshape(-1)
 
 
 def statevector_from_mps(mps_state) -> DenseState:
     """Densify an MPS for direct comparison against the dense reference."""
-    vec = mps_state.to_statevector()
+    vec = to_statevector(mps_state)
     return DenseState(amplitudes=vec / np.linalg.norm(vec), n_sites=mps_state.n_sites)
 
 

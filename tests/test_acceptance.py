@@ -81,15 +81,15 @@ def oracle_deviations(n_sites, t_max=5.0):
     for k, t in enumerate(record.times):
         psi = propagator.evolve(ref_state, float(t))
         for ell in sizes:
-            dm = ed_rdm(psi, record.blocks[ell], time_stamp=float(t))
-            ref_entries[ell].append(dm.entries)
-            rdm_dev = max(rdm_dev, float(np.max(np.abs(dm.entries - record.rdms[ell][k].entries))))
+            rho = ed_rdm(psi, record.rdms[ell].sites)
+            ref_entries[ell].append(rho)
+            rdm_dev = max(rdm_dev, float(np.max(np.abs(rho - record.rdms[ell][k].entries))))
     ref_rdms = {
-        ell: DensityMatrix(entries=np.array(rows), sites=record.blocks[ell], time_stamp=record.times)
+        ell: DensityMatrix(entries=np.array(rows), sites=record.rdms[ell].sites)
         for ell, rows in ref_entries.items()
     }
     ref_record = EvolutionRecord(
-        times=record.times, spacing=record.spacing, rdms=ref_rdms, blocks=record.blocks,
+        times=record.times, spacing=record.spacing, rdms=ref_rdms,
         energies=record.energies, max_bond=record.max_bond,
         cumulative_discarded=record.cumulative_discarded,
     )
@@ -188,8 +188,8 @@ def test_criterion_4_markovian_null():
         entries.append(0.5 * (np.eye(2, dtype=complex) + sum(c * p for c, p in zip(r, paulis))))
     record = EvolutionRecord(
         times=times, spacing=spacing,
-        rdms={1: DensityMatrix(entries=np.array(entries), sites=(0,), time_stamp=times)},
-        blocks={1: (0,)}, energies=np.zeros(n_times), max_bond=[1] * n_times,
+        rdms={1: DensityMatrix(entries=np.array(entries), sites=(0,))},
+        energies=np.zeros(n_times), max_bond=[1] * n_times,
         cumulative_discarded=np.zeros(n_times),
     )
     largest = float(np.max(degree_curve(record, 1, DELTA_GRID, "td")))

@@ -33,9 +33,9 @@ def random_density_matrix(rng, dim):
 def make_record(rdm_entries, spacing=0.1, ell=1, sites=(0,)):
     n = len(rdm_entries)
     times = np.arange(n) * spacing
-    rdms = {ell: DensityMatrix(entries=np.array(rdm_entries), sites=sites, time_stamp=times)}
+    rdms = {ell: DensityMatrix(entries=np.array(rdm_entries), sites=sites)}
     return EvolutionRecord(
-        times=times, spacing=spacing, rdms=rdms, blocks={ell: sites},
+        times=times, spacing=spacing, rdms=rdms,
         energies=np.zeros(n), max_bond=[1] * n, cumulative_discarded=np.zeros(n),
     )
 

@@ -9,6 +9,7 @@ import pytest
 
 from spinquench.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_ORACLE,
     ConfigError,
@@ -233,6 +234,8 @@ analysis:
     assert run_oracle_check(config, output_dir=out) == EXIT_OK
     report = json.loads((out / "oracle_report.json").read_text())
     assert report["pass"]
+    assert report["aborted"] is False and report["abort_reason"] is None
+    assert report["achieved_t_max"] == pytest.approx(1.0)
     assert report["max_rdm_deviation"] <= 1e-10
     assert report["max_series_deviation"] <= 1e-10
 
@@ -259,6 +262,29 @@ analysis:
     assert report["max_rdm_deviation"] <= 1e-4
     assert report["max_series_deviation"] <= 1e-4
     assert report["ground_energy_deviation"] <= 1e-8
+
+
+def test_oracle_check_fails_an_aborted_run(tmp_path, capsys):
+    # chi_max 8 stalls the truncation at t = 1.4 of 3.0; the part recorded
+    # still agrees with the dense reference, but a cut-short run is no pass
+    text = """
+name: abort-oracle
+system: {sites: 10}
+quench: {pre: {J: 0.2, h_x: 1.0, h_z: 0.0}, post: {J: 1.0, h_x: 1.0, h_z: 0.0}, t_max: 3.0}
+truncation: {cutoff: 1.0e-12, chi_max: 8}
+analysis: {subsystem_sizes: [1, 2], delta_grid: {start: 0.1, stop: 0.5, step: 0.1}}
+"""
+    out = tmp_path / "out"
+    code = main(["oracle-check", str(write_config(tmp_path, text)), "--output", str(out)])
+    assert code == EXIT_NUMERICAL
+    report = json.loads((out / "oracle_report.json").read_text())
+    assert report["pass"] is False
+    assert report["aborted"] is True
+    assert report["abort_reason"].startswith("truncation budget exceeded")
+    assert report["achieved_t_max"] == pytest.approx(1.4)
+    stdout = capsys.readouterr().out
+    assert "aborted at t = 1.4" in stdout
+    assert "oracle-check: FAIL" in stdout
 
 
 def test_oracle_check_negative_control_fails(tmp_path):

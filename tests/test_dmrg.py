@@ -10,7 +10,7 @@ from spinquench.dmrg import _contract_left, _contract_right, _lanczos, _solve_bl
 from spinquench.exact import ed_ground_state, ed_hamiltonian
 from spinquench.mps import TruncationPolicy
 
-from helpers import local_expectation
+from helpers import local_expectation, to_statevector
 
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -133,7 +133,7 @@ def test_ground_state_overlaps_dense_one(n_sites):
     params = HamiltonianParams(0.2, 1.0, 0.0, n_sites)
     result = ground_state(build_hamiltonian(params), DmrgSettings(), seed=3)
     reference, _ = ed_ground_state(params)
-    overlap = abs(np.vdot(reference.amplitudes, result.state.to_statevector()))
+    overlap = abs(np.vdot(reference.amplitudes, to_statevector(result.state)))
     assert overlap >= 1 - 1e-12
 
 
@@ -211,7 +211,7 @@ def test_returned_energy_is_state_expectation():
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.1, 0.5, 12))
     result = ground_state(spec, DmrgSettings(), seed=3)
     assert abs(result.energy - result.state.copy().energy(spec)) <= 1e-10
-    psi = result.state.to_statevector()
+    psi = to_statevector(result.state)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
     # <psi|H|psi> on the dense vector, one bond term at a time
     dense = sum(

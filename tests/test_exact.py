@@ -12,6 +12,7 @@ from spinquench.exact import (
     ed_hamiltonian,
     ed_rdm,
 )
+from spinquench.mps import DensityMatrix
 
 from helpers import partial_trace
 
@@ -134,7 +135,12 @@ def test_evolution_group_property_and_energy_conservation():
     one_shot = propagator.evolve(state, 1.7)
     two_step = propagator.evolve(propagator.evolve(state, 0.9), 0.8)
     assert np.max(np.abs(one_shot.amplitudes - two_step.amplitudes)) <= 1e-10
-    assert propagator.energy(one_shot) == pytest.approx(propagator.energy(state), abs=1e-10)
+    ham = ed_hamiltonian(params)
+
+    def energy(psi):
+        return np.vdot(psi.amplitudes, ham @ psi.amplitudes).real
+
+    assert energy(one_shot) == pytest.approx(energy(state), abs=1e-10)
 
 
 def test_evolve_stacks_times_in_one_product():
@@ -157,19 +163,18 @@ def test_rdm_of_stacked_states_matches_each_state():
     rng = np.random.default_rng(7)
     amps = rng.normal(size=(6, 2**7)) + 1j * rng.normal(size=(6, 2**7))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    times = 0.5 * np.arange(6)
     for sites in ((0,), (2, 3, 4), (5, 6)):
-        stacked = ed_rdm(DenseState(amplitudes=amps, n_sites=7), sites, time_stamp=times)
-        assert stacked.entries.shape == (6, 2 ** len(sites), 2 ** len(sites))
-        assert np.array_equal(stacked.time_stamp, times)
+        stacked = ed_rdm(DenseState(amplitudes=amps, n_sites=7), sites)
+        assert stacked.shape == (6, 2 ** len(sites), 2 ** len(sites))
+        DensityMatrix(entries=stacked, sites=sites)  # a valid stack of states
         for k in range(6):
             single = ed_rdm(DenseState(amplitudes=amps[k], n_sites=7), sites)
-            assert np.max(np.abs(stacked[k].entries - single.entries)) <= 1e-14
+            assert np.max(np.abs(stacked[k] - single)) <= 1e-14
 
 
 def test_rdm_product_state_is_pure():
     state = basis_state(6, index=0b101010)
-    dm = ed_rdm(state, (1, 2, 3))
+    dm = DensityMatrix(entries=ed_rdm(state, (1, 2, 3)), sites=(1, 2, 3))
     purity = np.real(np.trace(dm.entries @ dm.entries))
     assert purity == pytest.approx(1.0, abs=1e-12)
 
@@ -177,17 +182,17 @@ def test_rdm_product_state_is_pure():
 def test_rdm_ghz_inner_block():
     amps = np.zeros(16, dtype=complex)
     amps[0] = amps[-1] = 1 / np.sqrt(2)
-    dm = ed_rdm(DenseState(amplitudes=amps, n_sites=4), (1, 2))
-    assert np.max(np.abs(dm.entries - np.diag([0.5, 0, 0, 0.5]))) <= 1e-12
+    rho = ed_rdm(DenseState(amplitudes=amps, n_sites=4), (1, 2))
+    assert np.max(np.abs(rho - np.diag([0.5, 0, 0, 0.5]))) <= 1e-12
 
 
 def test_rdm_axioms_on_evolved_state():
     params = HamiltonianParams(1.0, 0.1, 0.5, 10)
     state, _ = ed_ground_state(HamiltonianParams(0.2, 1.0, 0.0, 10))
     evolved = DensePropagator(params).evolve(state, 3.0)
-    dm = ed_rdm(evolved, (3, 4, 5, 6))
+    dm = DensityMatrix(entries=ed_rdm(evolved, (3, 4, 5, 6)), sites=(3, 4, 5, 6))
     assert abs(np.trace(dm.entries) - 1.0) <= 1e-12
-    assert np.min(np.linalg.eigvalsh(dm.entries)) >= -1e-12
+    assert np.min(dm.spectrum()) >= -1e-12
 
 
 def test_rdm_nested_consistency():
@@ -195,9 +200,9 @@ def test_rdm_nested_consistency():
     amps = rng.normal(size=2**7) + 1j * rng.normal(size=2**7)
     amps /= np.linalg.norm(amps)
     state = DenseState(amplitudes=amps, n_sites=7)
-    big = ed_rdm(state, (2, 3, 4, 5))
+    big = DensityMatrix(entries=ed_rdm(state, (2, 3, 4, 5)), sites=(2, 3, 4, 5))
     small = ed_rdm(state, (3, 4))
-    assert np.max(np.abs(partial_trace(big, (3, 4)).entries - small.entries)) <= 1e-12
+    assert np.max(np.abs(partial_trace(big, (3, 4)).entries - small)) <= 1e-12
 
 
 def test_rdm_invalid_ranges():

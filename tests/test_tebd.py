@@ -49,7 +49,7 @@ def test_record_only_t0_when_horizon_below_step(para_ground):
     assert record.n_times == 1
     assert record.times[0] == 0.0
     assert len(record.rdms[2]) == 1
-    assert record.rdms[2][0].time_stamp == 0.0
+    assert record.rdms[2][0].entries.shape == (4, 4)
 
 
 def test_recording_grid_and_diagnostics(para_ground):
@@ -63,7 +63,7 @@ def test_recording_grid_and_diagnostics(para_ground):
     assert max(record.max_bond) <= 50
     for ell in (1, 2, 3):
         assert len(record.rdms[ell]) == 21
-        assert record.blocks[ell] == centered_block(10, ell)
+        assert record.rdms[ell].sites == centered_block(10, ell)
 
 
 def test_initial_state_is_not_mutated(para_ground):
@@ -115,8 +115,8 @@ def test_matches_dense_oracle(para_ground):
     for k, t in enumerate(record.times):
         psi = propagator.evolve(reference, float(t))
         for ell in (1, 2, 3):
-            ref = ed_rdm(psi, record.blocks[ell])
-            assert np.max(np.abs(ref.entries - record.rdms[ell][k].entries)) <= 1e-4
+            ref = ed_rdm(psi, record.rdms[ell].sites)
+            assert np.max(np.abs(ref - record.rdms[ell][k].entries)) <= 1e-4
 
 
 def test_record_stacks_are_validated_once_and_read_only(para_ground):
@@ -124,7 +124,6 @@ def test_record_stacks_are_validated_once_and_read_only(para_ground):
     for ell in (1, 2, 3):
         stack = record.rdms[ell]
         assert stack.entries.shape == (record.n_times, 2**ell, 2**ell)
-        assert np.array_equal(stack.time_stamp, record.times)
         for k in range(record.n_times):
             assert np.array_equal(stack.spectrum()[k], np.linalg.eigvalsh(stack.entries[k]))
         with pytest.raises(ValueError, match="read-only"):
@@ -202,12 +201,12 @@ def test_size_mismatch_rejected():
 def test_record_validation():
     with pytest.raises(ValueError):
         EvolutionRecord(
-            times=np.array([0.5, 1.0]), spacing=0.5, rdms={}, blocks={},
+            times=np.array([0.5, 1.0]), spacing=0.5, rdms={},
             energies=np.zeros(2), max_bond=[1, 1], cumulative_discarded=np.zeros(2),
         )
     with pytest.raises(ValueError):
         EvolutionRecord(
-            times=np.array([0.0, 0.5, 1.5]), spacing=0.5, rdms={}, blocks={},
+            times=np.array([0.0, 0.5, 1.5]), spacing=0.5, rdms={},
             energies=np.zeros(3), max_bond=[1, 1, 1], cumulative_discarded=np.zeros(3),
         )
 
@@ -289,6 +288,8 @@ def test_evolve_stacks_gates_and_matches_per_gate_record(monkeypatch):
             assert np.array_equal(mine.entries, theirs.entries)
 
 
+# the NaN block's normalisations divide by NaN norms, twice, on purpose
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
 def test_non_finite_state_ends_in_a_flagged_record(monkeypatch):
     """A NaN that reaches a gate block ends the run with a flagged record, not LinAlgError."""
     n = 20
