@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mps import DensityMatrix
-from .tebd import EvolutionRecord
+from .tebd import EvolutionRecord, grid_offset
 
 MEASURES = ("td", "tvd")
 
@@ -142,7 +142,7 @@ def distance_series(
     key = _check_measure(measure)
     if ell not in record.rdms:
         raise ValueError(f"subsystem size {ell} was not recorded")
-    offset = record.grid_offset(delta)
+    offset = grid_offset(delta, record.spacing)
     rdms = record.rdms[ell]
     n_pairs = max(len(rdms) - offset, 0)
     values = np.zeros(0)

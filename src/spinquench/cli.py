@@ -30,7 +30,7 @@ from . import __version__
 from .model import HamiltonianParams, build_hamiltonian
 from .mps import RDM_SITE_CAP, DensityMatrix, TruncationPolicy
 from .dmrg import DmrgSettings, ground_state
-from .tebd import EvolutionRecord, QuenchProtocol, evolve
+from .tebd import EvolutionRecord, QuenchProtocol, evolve, grid_offset
 from .analysis import degree, distance_series, extrema_gaps
 from .exact import DensePropagator, ed_ground_state, ed_rdm
 
@@ -202,7 +202,6 @@ class ExperimentConfig:
 
     def protocol(self, post: HamiltonianParams) -> QuenchProtocol:
         return QuenchProtocol(
-            pre=self.pre_params(),
             post=post,
             t_max=self.t_max,
             tau=self.tau,
@@ -258,12 +257,10 @@ def load_config(path) -> ExperimentConfig:
         spacing = values["record_stride"] * values["tau"]
         multiples = []
         for v in values["delta_grid"]:
-            ratio = v / spacing
-            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
-                errors.append(f"'analysis.delta_grid' entry {v:g} is not a multiple of the "
-                              f"record spacing {spacing:g}")
-            else:
-                multiples.append(round(ratio))
+            try:
+                multiples.append(grid_offset(v, spacing))
+            except ValueError as err:
+                errors.append(f"'analysis.delta_grid' {err}")
         multiples = list(dict.fromkeys(multiples))
         steps = set(np.diff(multiples))  # the degree curve's extrema need a uniform grid
         if len(steps) > 1 or min(steps, default=1) < 0:

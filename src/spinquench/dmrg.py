@@ -13,9 +13,10 @@ on the change of the block energy across sweeps. Blocks are solved only as
 tightly as the sweep needs: loosely until two sweep energies agree, then once
 more at the final tolerance in one left-to-right polishing half-sweep, as
 TeNPy ties its Lanczos tolerances to the sweeps' convergence (Hauschild and
-Pollmann, SciPost Phys. Lect. Notes 5 (2018)). The sweeps work in the centre
-form; the result is handed over in the Schmidt form that gates and read-outs
-need.
+Pollmann, SciPost Phys. Lect. Notes 5 (2018)). The sweeps work on a plain
+list of tensors in the centre form (Schollwoeck, Ann. Phys. 326, 96 (2011)):
+each split leaves the centre on the site the sweep moves to. The result is
+handed over as an ``MpsState``, which brings it to the Schmidt form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import HamiltonianSpec
-from .mps import MpsState, TruncationPolicy, product_state
+from .mps import MpsState, TruncationPolicy, _svd, _truncation_rank
 
 _DENSE_SOLVE_DIM = 32
 # relative Ritz residual of the block solves in the sweeps before the polish
@@ -191,9 +192,31 @@ def _solve_block(left_env, right_env, w1, w2, theta0, tol, maxiter):
     return energy, vec.reshape(a, 2, 2, b), calls
 
 
-def _initial_state(hspec: HamiltonianSpec, seed: int, dtype) -> MpsState:
-    """Random product state in ``dtype``; tilted towards spin-up in the symmetric
-    ordered phase so the search lands on one symmetry-broken branch deterministically."""
+def _split_pair(tensors, i, theta, policy, center_side) -> float:
+    """Replace sites (i, i+1) of ``tensors`` by the truncated SVD split of ``theta``.
+
+    ``theta`` holds the pair with legs (l, 2, 2, r). The kept singular values,
+    divided by their 2-norm, go to the site that ``center_side`` ("left" or
+    "right") names, which becomes the orthogonality centre. Returns the
+    discarded weight, the dropped squared weight before renormalisation.
+    """
+    dl, dr = theta.shape[0], theta.shape[-1]
+    u, s, vh = _svd(theta.reshape(dl * 2, 2 * dr))
+    keep, discarded = _truncation_rank(s, policy)
+    s = s[:keep] / np.linalg.norm(s[:keep])
+    if center_side == "right":
+        tensors[i] = u[:, :keep].reshape(dl, 2, keep)
+        tensors[i + 1] = (s[:, None] * vh[:keep]).reshape(keep, 2, dr)
+    else:
+        tensors[i] = (u[:, :keep] * s).reshape(dl, 2, keep)
+        tensors[i + 1] = vh[:keep].reshape(keep, 2, dr)
+    return discarded
+
+
+def _initial_tensors(hspec: HamiltonianSpec, seed: int, dtype) -> list:
+    """Site tensors of a random product state in ``dtype``; tilted towards spin-up in
+    the symmetric ordered phase so the search lands on one symmetry-broken branch
+    deterministically."""
     params = hspec.params
     rng = np.random.default_rng(seed)
     tilt = params.h_z == 0.0 and abs(params.coupling) > abs(params.h_x)
@@ -204,8 +227,8 @@ def _initial_state(hspec: HamiltonianSpec, seed: int, dtype) -> MpsState:
             v = v + 1j * rng.normal(size=2)
         if tilt:
             v = np.array([1.0, 0.2]) + 0.05 * v
-        local.append(v / np.linalg.norm(v))
-    return product_state(local)
+        local.append((v / np.linalg.norm(v)).reshape(1, 2, 1))
+    return local
 
 
 def ground_state(
@@ -221,14 +244,13 @@ def ground_state(
     (``energy_tol / 10``) then polishes the state, and the search has
     converged if its energy also agrees; if not, full sweeps go on at the
     final tolerance. If the budget of full sweeps runs out first, the best
-    state found is returned with ``converged=False``. The returned state is in
-    the Schmidt form, ready for gates and read-outs, and the returned energy
-    is its expectation value.
+    state found is returned with ``converged=False``. The returned energy is
+    the expectation value of the returned ``MpsState``.
     """
     settings = settings or DmrgSettings()
     n = hspec.n_sites
     mpo = _mpo_from_bond_terms(hspec)
-    state = _initial_state(hspec, seed, mpo[0].dtype)
+    tensors = _initial_tensors(hspec, seed, mpo[0].dtype)
 
     left_env = [None] * n
     right_env = [None] * n
@@ -236,7 +258,7 @@ def ground_state(
     left_env[0] = boundary
     right_env[n - 1] = boundary
     for i in range(n - 1, 0, -1):
-        right_env[i - 1] = _contract_right(right_env[i], state.tensors[i], mpo[i])
+        right_env[i - 1] = _contract_right(right_env[i], tensors[i], mpo[i])
 
     matvecs = 0
     discarded = 0.0
@@ -246,17 +268,17 @@ def ground_state(
         nonlocal matvecs, discarded
         block_energy, discarded = None, 0.0
         for i in blocks:
-            theta = np.tensordot(state.tensors[i], state.tensors[i + 1], axes=(2, 0))
+            theta = np.tensordot(tensors[i], tensors[i + 1], axes=(2, 0))
             block_energy, theta, calls = _solve_block(
                 left_env[i], right_env[i + 1], mpo[i], mpo[i + 1],
                 theta, tol, settings.local_solver_iters,
             )
             matvecs += calls
-            discarded += state.split_pair(i, theta, settings.policy, center_side)
+            discarded += _split_pair(tensors, i, theta, settings.policy, center_side)
             if center_side == "right":
-                left_env[i + 1] = _contract_left(left_env[i], state.tensors[i], mpo[i])
+                left_env[i + 1] = _contract_left(left_env[i], tensors[i], mpo[i])
             else:
-                right_env[i] = _contract_right(right_env[i + 1], state.tensors[i + 1], mpo[i + 1])
+                right_env[i] = _contract_right(right_env[i + 1], tensors[i + 1], mpo[i + 1])
         return block_energy
 
     final_tol = settings.energy_tol / 10.0
@@ -280,10 +302,10 @@ def ground_state(
             converged = True
             break
 
-    energy = state.to_schmidt_form().energy(hspec)
+    state = MpsState(tensors)
     return GroundStateResult(
         state=state,
-        energy=energy,
+        energy=state.energy(hspec),
         converged=converged,
         sweeps=len(sweep_energies),
         sweep_energies=tuple(sweep_energies),

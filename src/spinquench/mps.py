@@ -1,30 +1,24 @@
-"""Finite matrix product states and their truncated two-site updates.
+"""Finite matrix product states in the Schmidt form, and their truncated gates.
 
 Site tensors have legs ``(left bond, physical, right bond)``, physical
-dimension 2, boundary bonds of dimension 1. Two gauges are used:
+dimension 2, boundary bonds of dimension 1. Every ``MpsState`` is in the
+Schmidt form from its construction on: every tensor is a right isometry and
+the singular values of every cut are kept beside the tensors. A gate on any
+bond (i, i+1) applies to Lambda_i B_i B_{i+1}, and its split needs only the
+singular values and right vectors, so it keeps the form without touching
+other sites (Hastings, J. Math. Phys. 50, 095207 (2009)); block density
+matrices and bond energies are local contractions that need no re-gauging. A
+tall block of 8 or more columns takes its split from ``eigh`` of its Gram
+matrix, which skips the left vectors that an SVD would build; other blocks
+are split by SVD. A layer of gates on bonds at least two apart applies at
+once (``apply_gate_layer``): three or more bonds whose pairs have the same
+shape share one stacked contraction and one batched decomposition, which
+returns the same bits as one per pair, so only numpy's per-call overhead is
+saved.
 
-- DMRG works in the centre form. Tensors left of the orthogonality centre are
-  left isometries, tensors right of it right isometries; ``split_pair``
-  replaces a solved two-site block and leaves the centre on either of its
-  sites, and ``canonicalize`` moves the centre by QR steps.
-- Every gate, block density matrix and energy needs the Schmidt form
-  (``to_schmidt_form``) and raises ``ValueError`` on any other state. In it,
-  every tensor is a right isometry and the singular values of every cut are
-  kept beside the tensors. A gate on any bond (i, i+1) applies to
-  Lambda_i B_i B_{i+1}, and its split needs only the singular values and
-  right vectors, so it keeps the form without touching other sites (Hastings,
-  J. Math. Phys. 50, 095207 (2009)); block density matrices and bond energies
-  are local contractions that need no re-gauging. A tall block of 8 or more
-  columns takes its split from ``eigh`` of its Gram matrix, which skips the
-  left vectors that an SVD would build; other blocks are split by SVD. A
-  layer of gates on bonds at least two apart applies at once
-  (``apply_gate_layer``): three or more bonds whose pairs have the same shape
-  share one stacked contraction and one batched decomposition, which returns
-  the same bits as one per pair, so only numpy's per-call overhead is saved.
-
-Both gauges truncate by the same rule: discard the smallest singular values
-within the truncation budget, then renormalise. A decomposition that LAPACK
-fails on is redone (see ``_svd``); a block holding NaN splits into NaN.
+A split discards the smallest singular values within the truncation budget,
+then renormalises. A decomposition that LAPACK fails on is redone (see
+``_svd``); a block holding NaN splits into NaN.
 """
 
 from __future__ import annotations
@@ -127,17 +121,17 @@ class DensityMatrix:
 
 
 class MpsState:
-    """Mutable finite MPS; one instance per evolution worker.
+    """Mutable finite MPS in the Schmidt form; one instance per evolution worker.
 
-    ``schmidt_values`` is None in the centre form. In the Schmidt form it
-    holds one array per cut j = 0..N: the unit-norm singular values across
-    the cut left of site j (``[1]`` at both ends). Every tensor is then a
-    right isometry and ``ortho_center`` is 0. The tensors share one dtype:
-    float64 when all are real, else complex128. A ground state of a real
-    chain stays real; the first gate makes the tensors it writes complex.
+    ``schmidt_values`` holds one array per cut j = 0..N: the unit-norm
+    singular values across the cut left of site j (``[1]`` at both ends), and
+    every tensor is a right isometry. The constructor gives the tensors one
+    dtype: float64 when all are real, else complex128. A ground state of a
+    real chain stays real; the first gate makes the tensors it writes complex.
     """
 
-    def __init__(self, tensors, ortho_center):
+    def __init__(self, tensors):
+        """Check ``tensors``, in any gauge, and bring them to the Schmidt form, normalised."""
         tensors = [np.asarray(t) for t in tensors]
         if not tensors:
             raise ValueError("an MPS needs at least one site")
@@ -150,11 +144,8 @@ class MpsState:
                 raise ValueError(f"site tensor {i} has shape {t.shape}, expected (l, 2, r)")
             if i + 1 < len(tensors) and t.shape[2] != tensors[i + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
-        if not 0 <= ortho_center < len(tensors):
-            raise ValueError(f"orthogonality centre {ortho_center} out of range")
         self.tensors = tensors
-        self.ortho_center = ortho_center
-        self.schmidt_values = None
+        self.canonicalize()
 
     @property
     def n_sites(self) -> int:
@@ -165,57 +156,25 @@ class MpsState:
         return [t.shape[2] for t in self.tensors[:-1]]
 
     def copy(self) -> "MpsState":
-        twin = MpsState([t.copy() for t in self.tensors], self.ortho_center)
-        if self.schmidt_values is not None:
-            twin.schmidt_values = list(self.schmidt_values)
+        """A twin with its own tensors and the same Schmidt values; nothing is swept."""
+        twin = object.__new__(MpsState)
+        twin.tensors = [t.copy() for t in self.tensors]
+        twin.schmidt_values = list(self.schmidt_values)
         return twin
 
-    # -- gauge manipulation ------------------------------------------------
-
-    def _shift_center_right(self, i: int):
-        """Left-orthogonalise site i, absorbing the remainder into site i+1."""
-        dl, d, dr = self.tensors[i].shape
-        q, r = np.linalg.qr(self.tensors[i].reshape(dl * d, dr))
-        self.tensors[i] = q.reshape(dl, d, q.shape[1])
-        self.tensors[i + 1] = np.tensordot(r, self.tensors[i + 1], axes=(1, 0))
-
-    def _shift_center_left(self, i: int):
-        """Right-orthogonalise site i, absorbing the remainder into site i-1."""
-        dl, d, dr = self.tensors[i].shape
-        q, r = np.linalg.qr(self.tensors[i].reshape(dl, d * dr).conj().T)
-        self.tensors[i] = q.conj().T.reshape(q.shape[1], d, dr)
-        self.tensors[i - 1] = np.tensordot(self.tensors[i - 1], r.conj().T, axes=(2, 0))
-
-    def canonicalize(self, center: int) -> "MpsState":
-        """Bring the state to mixed-canonical form with the centre at ``center``.
-
-        Moving the centre away from site 0 leaves the Schmidt form.
-        """
-        n = self.n_sites
-        if not 0 <= center < n:
-            raise ValueError(f"centre {center} out of range for {n} sites")
-        if center != self.ortho_center:
-            self.schmidt_values = None
-        if self.ortho_center < center:
-            for i in range(self.ortho_center, center):
-                self._shift_center_right(i)
-        else:
-            for i in range(self.ortho_center, center, -1):
-                self._shift_center_left(i)
-        self.ortho_center = center
-        return self
-
-    def to_schmidt_form(self) -> "MpsState":
-        """Bring the state to the Schmidt form and normalise it.
+    def canonicalize(self) -> "MpsState":
+        """Bring the tensors to the Schmidt form and normalise them.
 
         One QR sweep to the last site, then one SVD sweep back that leaves
         right isometries behind and records each cut's singular values.
         Nothing is truncated.
         """
-        if self.schmidt_values is not None:
-            return self
         n = self.n_sites
-        self.canonicalize(n - 1)
+        for i in range(n - 1):
+            dl, d, dr = self.tensors[i].shape
+            q, r = np.linalg.qr(self.tensors[i].reshape(dl * d, dr))
+            self.tensors[i] = q.reshape(dl, d, q.shape[1])
+            self.tensors[i + 1] = np.tensordot(r, self.tensors[i + 1], axes=(1, 0))
         values = [np.ones(1)] * (n + 1)
         for i in range(n - 1, 0, -1):
             dl, d, dr = self.tensors[i].shape
@@ -224,15 +183,8 @@ class MpsState:
             self.tensors[i - 1] = np.tensordot(self.tensors[i - 1], u * s, axes=(2, 0))
             values[i] = s / np.linalg.norm(s)
         self.tensors[0] = self.tensors[0] / np.linalg.norm(self.tensors[0])
-        self.ortho_center = 0
         self.schmidt_values = values
         return self
-
-    def _schmidt(self, what: str) -> list:
-        """The Schmidt values; outside the Schmidt form, ``ValueError`` naming ``what``."""
-        if self.schmidt_values is None:
-            raise ValueError(f"{what} needs the Schmidt form; call to_schmidt_form() first")
-        return self.schmidt_values
 
     # -- updates -------------------------------------------------------------
 
@@ -240,13 +192,13 @@ class MpsState:
         """Apply a 4x4 gate to sites (left_site, left_site+1), truncate and split.
 
         Returns the discarded weight (sum of dropped squared singular values);
-        the state is renormalised afterwards. The state must be in the Schmidt
-        form, which the gate keeps: the new left tensor is the gated pair
-        contracted with the new right isometry, so no singular value is ever
-        inverted (Hastings, J. Math. Phys. 50, 095207 (2009)).
+        the state is renormalised afterwards. The gate keeps the Schmidt form:
+        the new left tensor is the gated pair contracted with the new right
+        isometry, so no singular value is ever inverted (Hastings, J. Math.
+        Phys. 50, 095207 (2009)).
         ``TrotterScheme`` checks gate shapes and dtypes; this hot path does not.
         """
-        schmidt = self._schmidt("a gate")
+        schmidt = self.schmidt_values
         i = left_site
         if not 0 <= i < self.n_sites - 1:
             raise ValueError(f"gate site {i} out of range")
@@ -263,7 +215,7 @@ class MpsState:
         return discarded
 
     def apply_gate_layer(self, bonds, gates, policy) -> float:
-        """Apply ``gates[k]`` to bond ``bonds[k]`` for every k, in the Schmidt form.
+        """Apply ``gates[k]`` to bond ``bonds[k]`` for every k.
 
         ``gates`` is a stacked (len(bonds), 4, 4) complex array, and the bonds
         must be at least two apart, so that no gate reads what another one
@@ -275,7 +227,6 @@ class MpsState:
         the order of ``bonds``) are bit for bit those of
         ``apply_two_site_gate`` applied to each bond in turn.
         """
-        self._schmidt("a gate layer")
         n_bonds, last = self.n_sites - 1, -2
         for i in sorted(bonds):
             if i - last < 2 or i >= n_bonds:
@@ -333,30 +284,6 @@ class MpsState:
                 schmidt[i + 1] = values[r]
         return discarded
 
-    def split_pair(self, i, theta, policy, center_side="right") -> float:
-        """Replace sites (i, i+1) by the truncated SVD split of ``theta``.
-
-        ``theta`` holds the pair with legs (l, 4, r) or (l, 2, 2, r). The kept
-        singular values, renormalised, go to the site that ``center_side``
-        names, which becomes the orthogonality centre; the state is left in
-        the centre form. Returns the discarded weight.
-        """
-        if center_side not in ("left", "right"):
-            raise ValueError(f"center_side must be 'left' or 'right', got {center_side!r}")
-        dl, dr = theta.shape[0], theta.shape[-1]
-        u, s, vh, discarded = _svd_split(theta.reshape(dl * 2, 2 * dr), policy)
-        keep = len(s)
-        if center_side == "right":
-            self.tensors[i] = u.reshape(dl, 2, keep)
-            self.tensors[i + 1] = (s[:, None] * vh).reshape(keep, 2, dr)
-            self.ortho_center = i + 1
-        else:
-            self.tensors[i] = (u * s).reshape(dl, 2, keep)
-            self.tensors[i + 1] = vh.reshape(keep, 2, dr)
-            self.ortho_center = i
-        self.schmidt_values = None
-        return discarded
-
     # -- read-outs -----------------------------------------------------------
 
     def rdm(self, sites) -> np.ndarray:
@@ -364,7 +291,6 @@ class MpsState:
         a local contraction. It comes back unchecked: ``evolve`` validates a run's
         matrices of one block as one stacked ``DensityMatrix``.
         """
-        schmidt = self._schmidt("a block density matrix")
         sites = tuple(sites)
         if not sites or list(sites) != list(range(sites[0], sites[-1] + 1)):
             raise ValueError(f"sites {sites} must be a non-empty contiguous range")
@@ -373,7 +299,7 @@ class MpsState:
         if len(sites) > RDM_SITE_CAP:
             raise ValueError(f"block of {len(sites)} sites exceeds the cap of {RDM_SITE_CAP}")
 
-        block = schmidt[sites[0]][:, None, None] * self.tensors[sites[0]]
+        block = self.schmidt_values[sites[0]][:, None, None] * self.tensors[sites[0]]
         for s in range(sites[0] + 1, sites[-1] + 1):
             block = np.tensordot(block, self.tensors[s], axes=(block.ndim - 1, 0))
         # rows: the block's physical index; columns: both bond indices
@@ -388,7 +314,7 @@ class MpsState:
             raise ValueError(
                 f"Hamiltonian has {hspec.n_sites} sites, state has {self.n_sites}"
             )
-        schmidt = self._schmidt("the energy")
+        schmidt = self.schmidt_values
         total = 0.0 + 0.0j
         for b, term in enumerate(hspec.bond_terms):
             theta = _two_site(schmidt[b][:, None, None] * self.tensors[b], self.tensors[b + 1])
@@ -487,17 +413,6 @@ def _schmidt_split(theta: np.ndarray, policy: TruncationPolicy):
     return s, vh
 
 
-def _svd_split(theta: np.ndarray, policy: TruncationPolicy):
-    """Truncated SVD of a matrix: ``(u, s, vh, discarded)``.
-
-    ``s`` holds the kept singular values divided by their 2-norm;
-    ``discarded`` is the dropped squared weight before renormalisation.
-    """
-    u, s, vh = _svd(theta)
-    keep, discarded = _truncation_rank(s, policy)
-    return u[:, :keep], s[:keep] / np.linalg.norm(s[:keep]), vh[:keep], discarded
-
-
 def product_state(local_states) -> MpsState:
     """Bond-dimension-1 MPS from per-site amplitude pairs (each unit norm).
 
@@ -511,4 +426,4 @@ def product_state(local_states) -> MpsState:
         if abs(np.linalg.norm(amp) - 1.0) > 1e-12:
             raise ValueError(f"site {j}: local state is not normalised")
         tensors.append(amp.reshape(1, 2, 1))
-    return MpsState(tensors, ortho_center=0)
+    return MpsState(tensors)

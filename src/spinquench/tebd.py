@@ -3,8 +3,8 @@
 A run evolves a state under the post-quench Hamiltonian, snapshotting the
 centered block density matrices, the energy, the largest bond dimension and
 the accumulated discarded weight every ``record_stride`` steps (the t = 0
-snapshot always included). The state is brought into the MPS Schmidt form
-once, before the first snapshot, and stays in it: every gate updates its own
+snapshot always included). The state is a copy of the initial ``MpsState``
+and, like every ``MpsState``, in the Schmidt form: every gate updates its own
 bond in place, so the gates of a layer may run in any order, and each snapshot
 reads local contractions without re-gauging the chain. Each layer's gates are
 stacked once per run, and a layer is applied by one
@@ -31,9 +31,8 @@ _STALL_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class QuenchProtocol:
-    """Sudden quench: ground state of ``pre`` evolved under ``post``."""
+    """Sudden quench: an initial state evolved under ``post``."""
 
-    pre: HamiltonianParams
     post: HamiltonianParams
     t_max: float = 20.0
     tau: float = 0.01
@@ -48,8 +47,6 @@ class QuenchProtocol:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be at least 1, got {self.record_stride}")
-        if self.pre.n_sites != self.post.n_sites:
-            raise ValueError("pre- and post-quench chains must have the same size")
         for ell in self.subsystem_sizes:
             if not 1 <= ell <= RDM_SITE_CAP:
                 raise ValueError(f"subsystem size {ell} outside 1..{RDM_SITE_CAP}")
@@ -90,15 +87,20 @@ class EvolutionRecord:
     def n_times(self) -> int:
         return len(self.times)
 
-    def grid_offset(self, delta: float) -> int:
-        """Index offset for a temporal separation; rejects off-grid values."""
-        ratio = delta / self.spacing
-        offset = round(ratio)
-        if abs(ratio - offset) > 1e-6 or offset < 0:
-            raise ValueError(
-                f"separation {delta} is not a multiple of the record spacing {self.spacing}"
-            )
-        return offset
+
+def grid_offset(delta: float, spacing: float) -> int:
+    """Index offset of a separation ``delta`` on a record grid of ``spacing``.
+
+    ``delta / spacing`` must be a non-negative integer within 1e-6; anything
+    else raises ``ValueError``. A config's delta grid and a distance series'
+    separation are both checked by this rule.
+    """
+    ratio = delta / spacing
+    offset = round(ratio) if math.isfinite(ratio) else -1
+    if offset < 0 or abs(ratio - offset) > 1e-6:
+        raise ValueError(f"separation {delta:g} is not a multiple of the record spacing "
+                         f"{spacing:g}")
+    return offset
 
 
 def centered_block(n_sites: int, ell: int):
@@ -129,7 +131,7 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
               for layer in scheme.gate_layers]
     blocks = {ell: centered_block(n, ell) for ell in protocol.subsystem_sizes}
 
-    state = initial.copy().to_schmidt_form()
+    state = initial.copy()
 
     n_steps = math.ceil(protocol.t_max / protocol.tau - _GRID_SLACK)
     times, energies, max_bonds, cum_discarded = [], [], [], []

@@ -19,7 +19,7 @@ def all_plus_state(n_sites: int) -> MpsState:
 
 
 def random_state(n_sites: int, chi: int, rng) -> MpsState:
-    """Random normalised MPS with bonds capped at ``chi``, centre at site 0."""
+    """Random normalised MPS with bonds capped at ``chi``."""
     tensors = []
     dl = 1
     for j in range(n_sites):
@@ -27,14 +27,11 @@ def random_state(n_sites: int, chi: int, rng) -> MpsState:
         t = rng.normal(size=(dl, 2, dr)) + 1j * rng.normal(size=(dl, 2, dr))
         tensors.append(t)
         dl = dr
-    state = MpsState(tensors, n_sites - 1)
-    state.canonicalize(0)
-    state.tensors[0] /= np.linalg.norm(state.tensors[0])
-    return state
+    return MpsState(tensors)
 
 
 def local_expectation(state: MpsState, op, site: int) -> float:
-    """<op> on one site of a Schmidt-form state, read from that site's RDM."""
+    """<op> on one site of a state, read from that site's RDM."""
     return float(np.real(np.trace(state.rdm((site,)) @ op)))
 
 
@@ -50,12 +47,14 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(entries=rho, sites=keep)
 
 
-def to_statevector(state: MpsState) -> np.ndarray:
-    """Dense amplitude vector of an MPS in either gauge; for small chains only."""
-    if state.n_sites > 16:
+def to_statevector(state) -> np.ndarray:
+    """Dense amplitude vector of an ``MpsState`` or a list of site tensors in any
+    gauge; for small chains only."""
+    tensors = getattr(state, "tensors", state)
+    if len(tensors) > 16:
         raise ValueError("refusing to densify more than 16 sites")
-    acc = state.tensors[0]
-    for t in state.tensors[1:]:
+    acc = tensors[0]
+    for t in tensors[1:]:
         acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
     return acc.reshape(-1)
 

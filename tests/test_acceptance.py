@@ -13,7 +13,7 @@ import pytest
 from spinquench.model import HamiltonianParams, build_hamiltonian
 from spinquench.mps import DensityMatrix, TruncationPolicy
 from spinquench.dmrg import DmrgSettings, ground_state
-from spinquench.tebd import EvolutionRecord, QuenchProtocol, evolve
+from spinquench.tebd import EvolutionRecord, QuenchProtocol, evolve, grid_offset
 from spinquench.analysis import (
     distance_series,
     extrema_gaps,
@@ -46,7 +46,7 @@ def run_quench(pre, post, n_sites, t_max, tau=0.01, sizes=SIZES, seed=3):
     stride = int(round(0.1 / tau))
     gs = ground_state(build_hamiltonian(params(pre, n_sites)), DmrgSettings(), seed=seed)
     protocol = QuenchProtocol(
-        pre=params(pre, n_sites), post=params(post, n_sites), t_max=t_max, tau=tau,
+        post=params(post, n_sites), t_max=t_max, tau=tau,
         record_stride=stride, subsystem_sizes=sizes, policy=POLICY,
     )
     return gs, evolve(gs.state, protocol)
@@ -235,7 +235,7 @@ def test_criterion_7_contractivity_ordering(headline_records):
     worst = -np.inf
     for record in (headline_records["pf"], headline_records["fp"]):
         for delta in (1.0, 2.0):
-            offset = record.grid_offset(delta)
+            offset = grid_offset(delta, record.spacing)
             for k in range(record.n_times - offset):
                 tds = [
                     trace_distance(record.rdms[ell][k + offset], record.rdms[ell][k])

@@ -92,7 +92,7 @@ def quench_record():
     post = HamiltonianParams(1.0, 0.1, 0.5, 8)
     gs = ground_state(build_hamiltonian(pre), DmrgSettings(), seed=4)
     protocol = QuenchProtocol(
-        pre=pre, post=post, t_max=2.0, tau=0.01, record_stride=10,
+        post=post, t_max=2.0, tau=0.01, record_stride=10,
         subsystem_sizes=(1, 2, 3), policy=TruncationPolicy(1e-9, 50),
     )
     return evolve(gs.state, protocol)

@@ -66,10 +66,12 @@ def test_unknown_keys_are_itemised(tmp_path):
 
 
 def test_off_grid_delta_rejected(tmp_path):
-    text = BASE.replace("[0.1, 0.2, 0.3]", "[0.15]")
+    text = BASE.replace("[0.1, 0.2, 0.3]", "[0.15, 0.2, 0.25]")
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, text))
-    assert any("0.15" in item for item in err.value.errors)
+    off_grid = [item for item in err.value.errors if "not a multiple" in item]
+    assert len(off_grid) == 2  # every bad delta is listed
+    assert "0.15" in off_grid[0] and "0.25" in off_grid[1]
 
 
 def test_delta_grid_range_form(tmp_path):

@@ -1,5 +1,6 @@
-"""MPS gauge moves, gate application with truncation, and block density matrices."""
+"""The MPS Schmidt form, gate application with truncation, and block density matrices."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,10 +14,10 @@ from spinquench.mps import (
     TruncationPolicy,
     _schmidt_split,
     _svd,
-    _svd_split,
     _truncation_rank,
     product_state,
 )
+from spinquench.dmrg import _split_pair
 from spinquench.exact import DenseState, ed_hamiltonian, ed_rdm
 
 from helpers import (
@@ -57,17 +58,17 @@ def mps_from_dense(amps, n_sites):
         tensors.append(u[:, :keep].reshape(dl, 2, keep))
         rest = (s[:keep, None] * vh[:keep]).reshape(keep, -1)
     tensors.append(rest.reshape(rest.shape[0], 2, 1))
-    return MpsState(tensors, ortho_center=n_sites - 1)
+    return MpsState(tensors)
 
 
 def test_product_state_expectations():
-    state = all_up_state(6).to_schmidt_form()
+    state = all_up_state(6)
     for j in range(6):
         assert local_expectation(state, SZ, j) == pytest.approx(1.0, abs=1e-12)
-    state = all_plus_state(6).to_schmidt_form()
+    state = all_plus_state(6)
     for j in range(6):
         assert local_expectation(state, SX, j) == pytest.approx(1.0, abs=1e-12)
-    state = product_state([UP, DOWN] * 3).to_schmidt_form()
+    state = product_state([UP, DOWN] * 3)
     signs = [local_expectation(state, SZ, j) for j in range(6)]
     assert np.allclose(signs, [1, -1, 1, -1, 1, -1], atol=1e-12)
 
@@ -80,64 +81,76 @@ def test_product_state_rejects_unnormalised():
 def test_state_dtype_follows_its_amplitudes():
     real = product_state([UP, DOWN, UP])
     assert all(t.dtype == np.float64 for t in real.tensors)
-    assert all(t.dtype == np.float64 for t in real.copy().to_schmidt_form().tensors)
+    assert all(t.dtype == np.float64 for t in real.copy().tensors)
     mixed = product_state([UP, (0.0, 1.0j), UP])
     assert all(t.dtype == np.complex128 for t in mixed.tensors)
     # a gate makes the tensors it writes complex
-    real.to_schmidt_form().apply_two_site_gate(BELL_GATE, 0, TruncationPolicy())
+    real.apply_two_site_gate(BELL_GATE, 0, TruncationPolicy())
     assert [t.dtype for t in real.tensors] == [np.complex128, np.complex128, np.float64]
-    assert all(t.dtype == np.complex128 for t in real.copy().tensors)
-    with pytest.raises(TypeError):
-        MpsState(real.tensors)  # the orthogonality centre is required
+    assert [t.dtype for t in real.copy().tensors] == [t.dtype for t in real.tensors]
 
 
 def test_canonicalize_product_state_keeps_bonds():
     state = product_state([UP, DOWN, UP, DOWN])
-    for center in range(4):
-        state.canonicalize(center)
+    for _ in range(2):
         assert state.bond_dims == [1, 1, 1]
-        assert state.ortho_center == center
+        assert all(np.array_equal(values, [1.0]) for values in state.schmidt_values)
+        state.canonicalize()
 
 
-def test_canonicalize_out_of_range():
-    state = all_up_state(4)
-    with pytest.raises(ValueError):
-        state.canonicalize(4)
-
-
-def assert_isometries(state):
-    c = state.ortho_center
-    for i, t in enumerate(state.tensors):
-        dl, d, dr = t.shape
-        if i < c:
-            mat = t.reshape(dl * d, dr)
-            assert np.max(np.abs(mat.conj().T @ mat - np.eye(dr))) <= 1e-10
-        elif i > c:
-            mat = t.reshape(dl, d * dr)
-            assert np.max(np.abs(mat @ mat.conj().T - np.eye(dl))) <= 1e-10
-
-
-def test_canonicalize_same_center_is_a_no_op():
-    rng = np.random.default_rng(1)
-    state = random_state(7, 6, rng)
-    state.canonicalize(3)
-    before = [t.copy() for t in state.tensors]
-    state.canonicalize(3)
-    for old, new in zip(before, state.tensors):
-        assert np.array_equal(old, new)
+def assert_schmidt_form(state, dense):
+    """Every tensor a right isometry, the cached values those of every cut of ``dense``."""
+    for t in state.tensors:
+        mat = t.reshape(t.shape[0], -1)
+        assert np.max(np.abs(mat @ mat.conj().T - np.eye(t.shape[0]))) <= 1e-10
+    for cut in range(1, state.n_sites):
+        exact = np.linalg.svd(dense.reshape(2**cut, -1), compute_uv=False)
+        cached = state.schmidt_values[cut]
+        assert np.max(np.abs(cached - exact[: len(cached)])) <= 1e-10
+        assert np.linalg.norm(exact[len(cached):]) <= 1e-10
 
 
 def test_canonicalize_round_trip_preserves_state():
     rng = np.random.default_rng(2)
     state = random_state(10, 8, rng)
     reference = state.copy()
-    state.canonicalize(9)
-    assert_isometries(state)
-    state.canonicalize(0)
-    assert_isometries(state)
-    state.canonicalize(5)
+    state.canonicalize()
+    assert_schmidt_form(state, to_statevector(reference))
     assert fidelity(state, reference) >= 1 - 1e-10
     assert np.linalg.norm(to_statevector(state)) == pytest.approx(1.0, abs=1e-10)
+
+
+def random_tensors(rng, dims):
+    """Complex site tensors of bond dimensions ``dims``, in no gauge and of no set norm."""
+    return [rng.normal(size=(dims[j], 2, dims[j + 1]))
+            + 1j * rng.normal(size=(dims[j], 2, dims[j + 1])) for j in range(len(dims) - 1)]
+
+
+def test_states_in_any_gauge_read_and_gate_like_the_dense_reference():
+    """A state made straight from tensors in no gauge, or from amplitude pairs, needs
+    no conversion call: its read-outs and a gate layer match its dense vector."""
+    rng = np.random.default_rng(22)
+    n = 8
+    params = HamiltonianParams(1.0, 0.7, 0.3, n)
+    raw = random_tensors(rng, [1, 2, 4, 6, 6, 6, 4, 2, 1])
+    pairs = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    pairs /= np.linalg.norm(pairs, axis=1, keepdims=True)
+    bonds = (0, 2, 4, 6)
+    for tensors, state in ((raw, MpsState(raw)),
+                           ([pair.reshape(1, 2, 1) for pair in pairs], product_state(pairs))):
+        psi = to_statevector(tensors)
+        psi = psi / np.linalg.norm(psi)
+        assert np.max(np.abs(to_statevector(state) - psi)) <= 1e-12
+        assert_schmidt_form(state, psi)
+        assert state.energy(build_hamiltonian(params)) == pytest.approx(
+            np.vdot(psi, ed_hamiltonian(params) @ psi).real, abs=1e-12
+        )
+        dense = DenseState(amplitudes=psi, n_sites=n)
+        for sites in [(0,), (3, 4), (5, 6, 7)]:
+            assert np.max(np.abs(state.rdm(sites) - ed_rdm(dense, sites))) <= 1e-12
+        gates = np.array([random_gate(rng) for _ in bonds])
+        state.apply_gate_layer(bonds, gates, TruncationPolicy(cutoff=0.0, chi_max=4096))
+        assert np.max(np.abs(to_statevector(state) - functools.reduce(np.kron, gates) @ psi)) <= 1e-12
 
 
 def test_identity_gate_is_a_no_op(monkeypatch):
@@ -145,7 +158,7 @@ def test_identity_gate_is_a_no_op(monkeypatch):
     # block, split by eigh
     for chi, split in ((2, "svd"), (4, "eigh")):
         rng = np.random.default_rng(3)
-        state = random_state(8, chi, rng).to_schmidt_form()
+        state = random_state(8, chi, rng)
         reference = state.copy()
         with monkeypatch.context() as m:
             calls = counting_linalg(m)
@@ -159,7 +172,7 @@ def test_identity_gate_is_a_no_op(monkeypatch):
 
 
 def test_swap_gate_on_product_state():
-    state = product_state([UP, DOWN]).to_schmidt_form()
+    state = product_state([UP, DOWN])
     weight = state.apply_two_site_gate(SWAP, 0, TruncationPolicy())
     assert weight == 0.0
     assert state.bond_dims == [1]
@@ -168,7 +181,7 @@ def test_swap_gate_on_product_state():
 
 
 def test_bell_gate_creates_maximal_entanglement():
-    state = product_state([UP, UP]).to_schmidt_form()
+    state = product_state([UP, UP])
     state.apply_two_site_gate(BELL_GATE, 0, TruncationPolicy())
     assert state.bond_dims == [2]
     assert np.allclose(state.schmidt_values[1], [np.sqrt(0.5)] * 2, atol=1e-12)
@@ -176,28 +189,9 @@ def test_bell_gate_creates_maximal_entanglement():
     assert np.allclose(np.sort(dm.spectrum()), [0.5, 0.5], atol=1e-12)
 
 
-def test_gates_and_read_outs_require_schmidt_form():
-    spec = build_hamiltonian(HamiltonianParams(1.0, 0.7, 0.3, 6))
-    rng = np.random.default_rng(6)
-    for state in (all_up_state(6), random_state(6, 4, rng), random_state(6, 4, rng).canonicalize(3)):
-        reference = to_statevector(state)
-        with pytest.raises(ValueError, match="Schmidt form"):
-            state.apply_two_site_gate(SWAP, 0, TruncationPolicy())
-        with pytest.raises(ValueError, match="Schmidt form"):
-            state.rdm((2, 3))
-        with pytest.raises(ValueError, match="Schmidt form"):
-            state.energy(spec)
-        assert np.array_equal(to_statevector(state), reference)  # nothing was re-gauged
-        assert state.schmidt_values is None
-    # a Schmidt-form state leaves the form once its centre moves
-    state = random_state(6, 4, rng).to_schmidt_form().canonicalize(2)
-    with pytest.raises(ValueError, match="Schmidt form"):
-        state.rdm((0,))
-
-
 def test_discarded_weight_within_cutoff_when_chi_unbounded():
     rng = np.random.default_rng(8)
-    state = random_state(8, 16, rng).to_schmidt_form()
+    state = random_state(8, 16, rng)
     policy = TruncationPolicy(cutoff=1e-6, chi_max=4096)
     for bond in range(7):
         herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -212,7 +206,7 @@ def test_discarded_weight_within_cutoff_when_chi_unbounded():
 
 def test_chi_max_is_enforced():
     rng = np.random.default_rng(9)
-    state = random_state(8, 16, rng).to_schmidt_form()
+    state = random_state(8, 16, rng)
     policy = TruncationPolicy(cutoff=0.0, chi_max=3)
     state.apply_two_site_gate(np.eye(4, dtype=complex) + 0j, 3, policy)
     assert state.bond_dims[3] <= 3
@@ -220,21 +214,21 @@ def test_chi_max_is_enforced():
 
 
 def test_rdm_product_state_is_projector():
-    state = product_state([UP, DOWN, UP, DOWN]).to_schmidt_form()
+    state = product_state([UP, DOWN, UP, DOWN])
     rho = state.rdm((1,))
     assert np.allclose(rho, [[0, 0], [0, 1]], atol=1e-12)
     DensityMatrix(entries=rho, sites=(1,))  # a valid density matrix
 
 
 def test_rdm_ghz_two_sites():
-    state = mps_from_dense(ghz_state(6), 6).to_schmidt_form()
+    state = mps_from_dense(ghz_state(6), 6)
     expected = np.diag([0.5, 0.0, 0.0, 0.5])
     assert np.max(np.abs(state.rdm((2, 3)) - expected)) <= 1e-12
 
 
 def test_rdm_matches_dense_partial_trace():
     rng = np.random.default_rng(12)
-    state = random_state(10, 8, rng).to_schmidt_form()
+    state = random_state(10, 8, rng)
     dense = DenseState(amplitudes=to_statevector(state), n_sites=10)
     for sites in [(3, 4, 5), (0, 1), (7, 8, 9), (4,)]:
         ref = ed_rdm(dense, sites)
@@ -243,14 +237,14 @@ def test_rdm_matches_dense_partial_trace():
 
 def test_rdm_nesting_consistency():
     rng = np.random.default_rng(13)
-    state = random_state(9, 8, rng).to_schmidt_form()
+    state = random_state(9, 8, rng)
     big = DensityMatrix(entries=state.rdm((2, 3, 4, 5)), sites=(2, 3, 4, 5))
     reduced = partial_trace(big, (3, 4))
     assert np.max(np.abs(reduced.entries - state.rdm((3, 4)))) <= 1e-10
 
 
 def test_rdm_bounds():
-    state = all_up_state(10).to_schmidt_form()
+    state = all_up_state(10)
     with pytest.raises(ValueError):
         state.rdm((8, 9, 10))
     with pytest.raises(ValueError, match="cap of 6"):
@@ -260,7 +254,7 @@ def test_rdm_bounds():
 
 
 def test_energy_trivial_cases():
-    state = all_up_state(10).to_schmidt_form()
+    state = all_up_state(10)
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.0, 10))
     assert state.energy(spec) == pytest.approx(-9.0, abs=1e-10)
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.5, 10))
@@ -270,7 +264,7 @@ def test_energy_trivial_cases():
 def test_energy_size_mismatch():
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.0, 5))
     with pytest.raises(ValueError, match="5 sites, state has 6"):
-        all_up_state(6).to_schmidt_form().energy(spec)
+        all_up_state(6).energy(spec)
 
 
 def test_density_matrix_validation():
@@ -347,28 +341,19 @@ def random_gate(rng, strength=0.3):
 def test_schmidt_form_gates_match_dense_application():
     rng = np.random.default_rng(7)
     n = 8
-    state = random_state(n, 6, rng).to_schmidt_form()
+    state = random_state(n, 6, rng)
     policy = TruncationPolicy(cutoff=0.0, chi_max=4096)
     dense = to_statevector(state)
     for bond in (0, 3, 6, 2, 5):
         gate = random_gate(rng)
         weight = state.apply_two_site_gate(gate, bond, policy)
         assert weight == 0.0
-        assert state.ortho_center == 0
         op = np.kron(np.kron(np.eye(2**bond), gate), np.eye(2 ** (n - bond - 2)))
         dense = op @ dense
         dense /= np.linalg.norm(dense)
         overlap = abs(np.vdot(dense, to_statevector(state)))
         assert overlap >= 1 - 1e-10
-    # the cached values are the Schmidt values of every cut, the tensors right isometries
-    for cut in range(1, n):
-        exact = np.linalg.svd(dense.reshape(2**cut, -1), compute_uv=False)
-        cached = state.schmidt_values[cut]
-        assert np.max(np.abs(cached - exact[: len(cached)])) <= 1e-10
-        assert np.linalg.norm(exact[len(cached):]) <= 1e-10
-    for t in state.tensors:
-        mat = t.reshape(t.shape[0], -1)
-        assert np.max(np.abs(mat @ mat.conj().T - np.eye(t.shape[0]))) <= 1e-10
+    assert_schmidt_form(state, dense)
 
 
 def test_gate_matches_dense_application_without_cutoff():
@@ -378,7 +363,7 @@ def test_gate_matches_dense_application_without_cutoff():
     n = 8
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     dense = amps / np.linalg.norm(amps)
-    state = mps_from_dense(dense, n).to_schmidt_form()
+    state = mps_from_dense(dense, n)
     assert max(state.bond_dims) == 2 ** (n // 2)
     policy = TruncationPolicy(cutoff=0.0, chi_max=4096)
     for bond in list(range(n - 1)) + list(range(n - 2, -1, -1)):
@@ -395,7 +380,7 @@ def test_schmidt_form_read_path_matches_dense_reference():
     rng = np.random.default_rng(21)
     n = 10
     params = HamiltonianParams(1.0, 0.7, 0.3, n)
-    state = random_state(n, 8, rng).to_schmidt_form()
+    state = random_state(n, 8, rng)
     for bond in (4, 1, 7, 0, 8, 5):
         state.apply_two_site_gate(random_gate(rng), bond, TruncationPolicy(1e-9, 50))
     before = [t.copy() for t in state.tensors]
@@ -410,8 +395,7 @@ def test_schmidt_form_read_path_matches_dense_reference():
     assert local_expectation(state, SX, 3) == pytest.approx(
         np.trace(ed_rdm(dense, (3,)) @ SX).real, abs=1e-12
     )
-    # the read path kept the form and re-gauged nothing
-    assert state.schmidt_values is not None and state.ortho_center == 0
+    # the read path re-gauged nothing
     assert all(np.array_equal(old, new) for old, new in zip(before, state.tensors))
 
 
@@ -484,10 +468,7 @@ def test_truncation_rank_rows_match_loop():
 
 def uneven_schmidt_state(rng):
     """12 sites, bonds of dimension 2 at the ends and 4 inside, in the Schmidt form."""
-    dims = [1, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2, 1]
-    tensors = [rng.normal(size=(dims[j], 2, dims[j + 1]))
-               + 1j * rng.normal(size=(dims[j], 2, dims[j + 1])) for j in range(12)]
-    return MpsState(tensors, 0).to_schmidt_form()
+    return MpsState(random_tensors(rng, [1, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2, 1]))
 
 
 @pytest.mark.parametrize("policy", [
@@ -540,12 +521,9 @@ def test_gate_layer_matches_gates_one_by_one(policy, monkeypatch):
         assert any(len(keeps) > 1 for keeps in stack_keeps)
 
 
-def test_gate_layer_rejects_overlapping_bonds_and_centre_form():
+def test_gate_layer_rejects_overlapping_bonds():
     state = all_plus_state(6)
     gates = np.array([np.eye(4, dtype=complex)] * 2)
-    with pytest.raises(ValueError, match="Schmidt form"):
-        state.apply_gate_layer((0, 2), gates, TruncationPolicy())
-    state.to_schmidt_form()
     for bonds in [(0, 1), (2, 2), (3, 5), (-1, 2)]:
         with pytest.raises(ValueError, match="two apart"):
             state.apply_gate_layer(bonds, gates, TruncationPolicy())
@@ -654,8 +632,9 @@ def test_failed_svd_of_a_finite_block_uses_its_transpose(monkeypatch):
     assert np.max(np.abs(s[1] - original(bad, compute_uv=False))) <= 1e-13
     assert np.max(np.abs(vh[1] @ vh[1].conj().T - np.eye(6))) <= 1e-13
     # DMRG's split and the gate path's SVD branch go through the same fallback
-    u, s, vh, discarded = _svd_split(bad, TruncationPolicy(cutoff=0.0, chi_max=4))
-    assert u.shape == (12, 4) and vh.shape == (4, 6) and discarded > 0
+    pair = [None, None]
+    discarded = _split_pair(pair, 0, bad.reshape(6, 2, 2, 3), TruncationPolicy(0.0, 4), "right")
+    assert pair[0].shape == (6, 2, 4) and pair[1].shape == (4, 2, 3) and discarded > 0
     s, vh = _schmidt_split(bad, TruncationPolicy(cutoff=0.0, chi_max=50))
     assert np.max(np.abs(s - original(bad, compute_uv=False))) <= 1e-13
 
@@ -671,17 +650,15 @@ def test_non_finite_block_splits_to_nan():
     u, s, vh = _svd(np.stack([theta, poisoned]))
     assert np.isnan(s[1]).all() and np.isnan(u[1]).all() and np.isnan(vh[1]).all()
     assert np.isfinite(s[0]).all()
-    u, s, vh, discarded = _svd_split(poisoned[:, :6], policy)
-    assert np.isnan(s).all() and np.isnan(u).all()
+    pair = [None, None]
+    _split_pair(pair, 0, poisoned[:, :6].reshape(8, 2, 2, 3), policy, "left")
+    assert np.isnan(pair[0]).all() and np.isnan(pair[1]).all()
 
 
 def test_gate_layer_with_gram_splits_matches_gates_one_by_one(monkeypatch):
     """Bonds of 8 and 16 in a 16-site state: stacked and lone Gram splits agree."""
     rng = np.random.default_rng(18)
-    dims = [1, 2, 4, 8] + [16] * 9 + [8, 4, 2, 1]
-    tensors = [rng.normal(size=(dims[j], 2, dims[j + 1]))
-               + 1j * rng.normal(size=(dims[j], 2, dims[j + 1])) for j in range(16)]
-    layered = MpsState(tensors, 0).to_schmidt_form()
+    layered = MpsState(random_tensors(rng, [1, 2, 4, 8] + [16] * 9 + [8, 4, 2, 1]))
     single = layered.copy()
     policy = TruncationPolicy(cutoff=1e-9, chi_max=24)
     gram_ranks = set()

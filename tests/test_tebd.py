@@ -6,7 +6,7 @@ import pytest
 from spinquench.model import SZ, HamiltonianParams, build_hamiltonian
 from spinquench.mps import MpsState, TruncationPolicy
 from spinquench.dmrg import DmrgSettings, ground_state
-from spinquench.tebd import EvolutionRecord, QuenchProtocol, centered_block, evolve
+from spinquench.tebd import EvolutionRecord, QuenchProtocol, centered_block, evolve, grid_offset
 from spinquench.exact import DensePropagator, ed_rdm
 
 from helpers import all_plus_state, all_up_state, statevector_from_mps
@@ -17,7 +17,7 @@ FERRO = HamiltonianParams(1.0, 0.1, 0.5, 10)
 
 def short_protocol(**overrides):
     defaults = dict(
-        pre=PARA, post=FERRO, t_max=2.0, tau=0.01, record_stride=10,
+        post=FERRO, t_max=2.0, tau=0.01, record_stride=10,
         subsystem_sizes=(1, 2, 3), policy=TruncationPolicy(1e-9, 50),
     )
     defaults.update(overrides)
@@ -76,7 +76,7 @@ def test_initial_state_is_not_mutated(para_ground):
 
 def test_real_ground_state_evolves_like_its_complex_copy(para_ground):
     assert all(t.dtype == np.float64 for t in para_ground.state.tensors)
-    twin = MpsState([t.astype(complex) for t in para_ground.state.tensors], 0)
+    twin = MpsState([t.astype(complex) for t in para_ground.state.tensors])
     protocol = short_protocol(t_max=0.5)
     real_record, complex_record = evolve(para_ground.state, protocol), evolve(twin, protocol)
     assert np.max(np.abs(real_record.energies - complex_record.energies)) <= 1e-11
@@ -89,7 +89,7 @@ def test_real_ground_state_evolves_like_its_complex_copy(para_ground):
 def test_decoupled_spins_precess_analytically():
     params = HamiltonianParams(0.0, 1.0, 0.0, 6)
     protocol = QuenchProtocol(
-        pre=params, post=params, t_max=2.0, tau=0.01, record_stride=5,
+        post=params, t_max=2.0, tau=0.01, record_stride=5,
         subsystem_sizes=(1,), policy=TruncationPolicy(1e-9, 50),
     )
     record = evolve(all_up_state(6), protocol)
@@ -161,7 +161,7 @@ def test_abort_on_saturated_bond_with_large_discards():
     post = HamiltonianParams(0.2, 1.0, 0.0, 12)
     gs = ground_state(build_hamiltonian(pre), DmrgSettings(), seed=3)
     protocol = QuenchProtocol(
-        pre=pre, post=post, t_max=5.0, tau=0.01, record_stride=10,
+        post=post, t_max=5.0, tau=0.01, record_stride=10,
         subsystem_sizes=(1, 2), policy=TruncationPolicy(1e-9, 2),
     )
     record = evolve(gs.state, protocol)
@@ -173,11 +173,10 @@ def test_abort_on_saturated_bond_with_large_discards():
 
 def test_grid_offset_validation(para_ground):
     record = evolve(para_ground.state, short_protocol(t_max=1.0))
-    assert record.grid_offset(0.3) == 3
-    with pytest.raises(ValueError):
-        record.grid_offset(0.35)
-    with pytest.raises(ValueError):
-        record.grid_offset(-0.1)
+    assert grid_offset(0.3, record.spacing) == 3
+    for off_grid in (0.35, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not a multiple of the record spacing"):
+            grid_offset(off_grid, record.spacing)
 
 
 def test_protocol_validation():
@@ -189,8 +188,6 @@ def test_protocol_validation():
         short_protocol(record_stride=0)
     with pytest.raises(ValueError):
         short_protocol(subsystem_sizes=(7,))
-    with pytest.raises(ValueError):
-        short_protocol(post=HamiltonianParams(1.0, 0.1, 0.5, 8))
 
 
 def test_size_mismatch_rejected():
@@ -214,34 +211,36 @@ def test_record_validation():
 def test_evolve_regauges_at_most_once(monkeypatch):
     n = 20
     protocol = QuenchProtocol(
-        pre=HamiltonianParams(0.2, 1.0, 0.0, n), post=HamiltonianParams(1.0, 0.1, 0.5, n),
+        post=HamiltonianParams(1.0, 0.1, 0.5, n),
         t_max=0.5, tau=0.01, record_stride=10, subsystem_sizes=(1, 2, 3, 4),
         policy=TruncationPolicy(1e-9, 50),
     )
     calls = []
     original = MpsState.canonicalize
 
-    def counting(self, center):
-        calls.append(center)
-        return original(self, center)
+    def counting(self):
+        calls.append(self)
+        return original(self)
 
     monkeypatch.setattr(MpsState, "canonicalize", counting)
     record = evolve(all_plus_state(n), protocol)
     assert record.n_times == 6
     assert max(record.max_bond) > 1
-    assert len(calls) <= 1
+    assert len(calls) == 1  # when the product state was made
 
 
 def test_ground_state_is_handed_over_in_schmidt_form(para_ground, monkeypatch):
     state = para_ground.state
-    assert state.schmidt_values is not None and state.ortho_center == 0
+    for t in state.tensors:  # right isometries, as the Schmidt form has them
+        mat = t.reshape(t.shape[0], -1)
+        assert np.max(np.abs(mat @ mat.conj().T - np.eye(t.shape[0]))) <= 1e-10
     assert para_ground.energy == state.energy(build_hamiltonian(PARA))
     calls = []
     original = MpsState.canonicalize
 
-    def counting(self, center):
-        calls.append(center)
-        return original(self, center)
+    def counting(self):
+        calls.append(self)
+        return original(self)
 
     monkeypatch.setattr(MpsState, "canonicalize", counting)
     record = evolve(state, short_protocol(t_max=0.2))
@@ -252,7 +251,7 @@ def test_ground_state_is_handed_over_in_schmidt_form(para_ground, monkeypatch):
 def test_evolve_stacks_gates_and_matches_per_gate_record(monkeypatch):
     n = 20
     protocol = QuenchProtocol(
-        pre=HamiltonianParams(0.2, 1.0, 0.0, n), post=HamiltonianParams(1.0, 0.1, 0.5, n),
+        post=HamiltonianParams(1.0, 0.1, 0.5, n),
         t_max=0.5, tau=0.01, record_stride=10, subsystem_sizes=(1, 2, 3, 4),
         policy=TruncationPolicy(1e-9, 50),
     )
@@ -294,7 +293,7 @@ def test_non_finite_state_ends_in_a_flagged_record(monkeypatch):
     """A NaN that reaches a gate block ends the run with a flagged record, not LinAlgError."""
     n = 20
     protocol = QuenchProtocol(
-        pre=HamiltonianParams(0.2, 1.0, 0.0, n), post=HamiltonianParams(1.0, 0.1, 0.5, n),
+        post=HamiltonianParams(1.0, 0.1, 0.5, n),
         t_max=0.5, tau=0.01, record_stride=10, subsystem_sizes=(1, 2),
         policy=TruncationPolicy(1e-9, 50),
     )
