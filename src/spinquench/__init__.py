@@ -15,7 +15,7 @@ from .mps import (
     TruncationPolicy,
     product_state,
 )
-from .dmrg import DmrgSettings, GroundStateResult, ground_state
+from .dmrg import GroundStateResult, ground_state
 from .tebd import EvolutionRecord, QuenchProtocol, evolve
 from .analysis import (
     DistanceSeries,
@@ -37,7 +37,6 @@ __all__ = [
     "MpsState",
     "TruncationPolicy",
     "product_state",
-    "DmrgSettings",
     "GroundStateResult",
     "ground_state",
     "EvolutionRecord",

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace, asdict
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ import yaml
 from . import __version__
 from .model import HamiltonianParams, build_hamiltonian
 from .mps import RDM_SITE_CAP, DensityMatrix, TruncationPolicy
-from .dmrg import DmrgSettings, ground_state
+from .dmrg import ground_state
 from .tebd import EvolutionRecord, QuenchProtocol, evolve, grid_offset
 from .analysis import degree, distance_series, extrema_gaps
 from .exact import DensePropagator, ed_ground_state, ed_rdm
@@ -48,6 +47,9 @@ ORACLE_MAX_SITES = 10  # the dense helpers reach 12; this keeps oracle-check to 
 # recorded times the dense reference evolves and reduces per product: taking all
 # 201 snapshots of an 8-site chain at once raised the peak resident set by 1.6 MB
 _ORACLE_CHUNK = 32
+# moving-average window of a degree-vs-delta curve before its extrema are found (capped
+# by the curve's length); a distance series is not smoothed
+_CURVE_SMOOTHING = 3
 
 
 class ConfigError(Exception):
@@ -171,14 +173,9 @@ class ExperimentConfig:
     record_stride: int = _key("quench.record_stride", 10, _integer(1))
     cutoff: float = _key("truncation.cutoff", 1e-9, _number(_NON_NEGATIVE))
     chi_max: int = _key("truncation.chi_max", 50, _integer(1))
-    max_sweeps: int = _key("dmrg.max_sweeps", 30, _integer(1))
-    energy_tol: float = _key("dmrg.energy_tol", 1e-10, _number(_POSITIVE))
-    local_solver_iters: int = _key("dmrg.local_solver_iters", 100, _integer(1))
     subsystem_sizes: tuple = _key("analysis.subsystem_sizes", [1, 2, 3, 4], _unique_list(_integer(1)))
     delta_grid: tuple = _key("analysis.delta_grid", _DELTA_RANGE, _delta_grid)
     measures: tuple = _key("analysis.measures", ["td", "tvd"], _unique_list(_one_of(("td", "tvd"))))
-    series_smoothing: int = _key("analysis.series_smoothing", 1, _integer(1))
-    curve_smoothing: int = _key("analysis.curve_smoothing", 3, _integer(1))
     sweep_axis: str | None = _key("sweep.axis", None, _one_of(SWEEP_AXES), default=None)
     sweep_values: tuple = _key("sweep.values", None, _sweep_values, default=())
     output_dir: str = _key("output_dir", "out", str, default="out")
@@ -191,14 +188,6 @@ class ExperimentConfig:
 
     def policy(self) -> TruncationPolicy:
         return TruncationPolicy(cutoff=self.cutoff, chi_max=self.chi_max)
-
-    def dmrg_settings(self) -> DmrgSettings:
-        return DmrgSettings(
-            max_sweeps=self.max_sweeps,
-            energy_tol=self.energy_tol,
-            policy=self.policy(),
-            local_solver_iters=self.local_solver_iters,
-        )
 
     def protocol(self, post: HamiltonianParams) -> QuenchProtocol:
         return QuenchProtocol(
@@ -317,10 +306,7 @@ def _analyse_record(config: ExperimentConfig, quench_id: str, record: EvolutionR
                     )
                     curve_degrees.append(deg)
                     if len(series) >= 3:
-                        rep = extrema_gaps(
-                            series.times, series.values, "minima",
-                            smoothing_window=config.series_smoothing,
-                        )
+                        rep = extrema_gaps(series.times, series.values, "minima")
                         result.timescale_rows.append(
                             (quench_id, f"{measure}_series_minima", ell, series.delta,
                              rep.mean_gap, rep.n_extrema)
@@ -334,7 +320,7 @@ def _analyse_record(config: ExperimentConfig, quench_id: str, record: EvolutionR
                 for kind in ("maxima", "minima"):
                     rep = extrema_gaps(
                         np.asarray(config.delta_grid), np.asarray(curve_degrees), kind,
-                        smoothing_window=min(config.curve_smoothing, len(curve_degrees)),
+                        smoothing_window=min(_CURVE_SMOOTHING, len(curve_degrees)),
                     )
                     result.timescale_rows.append(
                         (quench_id, f"{measure}_degree_{kind}", ell, None,
@@ -447,11 +433,12 @@ def run_quench_experiment(config: ExperimentConfig, workers: int = 1,
     for name, _, _ in _CSV_FILES:
         (out / name).unlink(missing_ok=True)
     started = time.perf_counter()
-    gs = ground_state(build_hamiltonian(config.pre_params()), config.dmrg_settings(),
-                      seed=config.seed)
+    gs = ground_state(build_hamiltonian(config.pre_params()), config.policy(), seed=config.seed)
     ground_state_seconds = time.perf_counter() - started
     jobs = [(config, gs, quench_id, post) for quench_id, post in _quench_points(config)]
     if workers > 1 and len(jobs) > 1:
+        from multiprocessing import Pool  # only a pooled run pays for the import
+
         with Pool(processes=workers) as pool:
             results = pool.map(_run_point, jobs)
     else:
@@ -490,7 +477,7 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     pre, post = config.pre_params(), config.post_params()
-    gs = ground_state(build_hamiltonian(pre), config.dmrg_settings(), seed=config.seed)
+    gs = ground_state(build_hamiltonian(pre), config.policy(), seed=config.seed)
     record = evolve(gs.state, config.protocol(post))
 
     ref_state, ref_energy = ed_ground_state(pre)

@@ -21,7 +21,8 @@ handed over as an ``MpsState``, which brings it to the Schmidt form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,23 +32,10 @@ from .mps import MpsState, TruncationPolicy, _svd, _truncation_rank
 _DENSE_SOLVE_DIM = 32
 # relative Ritz residual of the block solves in the sweeps before the polish
 _LOOSE_SOLVER_TOL = 1e-7
+_MAX_SWEEPS = 30  # full sweeps before the search gives up unconverged
+_ENERGY_TOL = 1e-10  # agreement of sweep energies that ends the search
+_LANCZOS_STEPS = 100  # matvecs per block solve
 _FACTOR_RANK_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class DmrgSettings:
-    max_sweeps: int = 30
-    energy_tol: float = 1e-10
-    policy: TruncationPolicy = field(default_factory=TruncationPolicy)
-    local_solver_iters: int = 100
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
-        if self.energy_tol <= 0:
-            raise ValueError(f"energy_tol must be positive, got {self.energy_tol}")
-        if self.local_solver_iters < 1:
-            raise ValueError("local_solver_iters must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,13 +206,13 @@ def _initial_tensors(hspec: HamiltonianSpec, seed: int, dtype) -> list:
     the symmetric ordered phase so the search lands on one symmetry-broken branch
     deterministically."""
     params = hspec.params
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)  # stdlib: 4 draws a site at most do not pay numpy's generator import
     tilt = params.h_z == 0.0 and abs(params.coupling) > abs(params.h_x)
     local = []
     for _ in range(params.n_sites):
-        v = rng.normal(size=2)
+        v = np.array([rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
         if dtype == complex:
-            v = v + 1j * rng.normal(size=2)
+            v = v + 1j * np.array([rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
         if tilt:
             v = np.array([1.0, 0.2]) + 0.05 * v
         local.append((v / np.linalg.norm(v)).reshape(1, 2, 1))
@@ -232,22 +220,21 @@ def _initial_tensors(hspec: HamiltonianSpec, seed: int, dtype) -> list:
 
 
 def ground_state(
-    hspec: HamiltonianSpec, settings: DmrgSettings | None = None, seed: int = 0
+    hspec: HamiltonianSpec, policy: TruncationPolicy = TruncationPolicy(), seed: int = 0
 ) -> GroundStateResult:
-    """Variational ground-state search by two-site sweeps.
+    """Variational ground-state search by two-site sweeps, each split truncated by ``policy``.
 
     Full sweeps solve each block to the relative residual
     ``_LOOSE_SOLVER_TOL`` until the energies of the last block solved in two
-    sweeps agree within ``energy_tol``; a Ritz energy's error is quadratic in
+    sweeps agree within ``_ENERGY_TOL``; a Ritz energy's error is quadratic in
     the residual, so loose solves do not move the sweep energies. One
     left-to-right half-sweep over every block at the final tolerance
-    (``energy_tol / 10``) then polishes the state, and the search has
+    (``_ENERGY_TOL / 10``) then polishes the state, and the search has
     converged if its energy also agrees; if not, full sweeps go on at the
-    final tolerance. If the budget of full sweeps runs out first, the best
+    final tolerance. If the ``_MAX_SWEEPS`` full sweeps run out first, the best
     state found is returned with ``converged=False``. The returned energy is
     the expectation value of the returned ``MpsState``.
     """
-    settings = settings or DmrgSettings()
     n = hspec.n_sites
     mpo = _mpo_from_bond_terms(hspec)
     tensors = _initial_tensors(hspec, seed, mpo[0].dtype)
@@ -270,27 +257,26 @@ def ground_state(
         for i in blocks:
             theta = np.tensordot(tensors[i], tensors[i + 1], axes=(2, 0))
             block_energy, theta, calls = _solve_block(
-                left_env[i], right_env[i + 1], mpo[i], mpo[i + 1],
-                theta, tol, settings.local_solver_iters,
+                left_env[i], right_env[i + 1], mpo[i], mpo[i + 1], theta, tol, _LANCZOS_STEPS
             )
             matvecs += calls
-            discarded += _split_pair(tensors, i, theta, settings.policy, center_side)
+            discarded += _split_pair(tensors, i, theta, policy, center_side)
             if center_side == "right":
                 left_env[i + 1] = _contract_left(left_env[i], tensors[i], mpo[i])
             else:
                 right_env[i] = _contract_right(right_env[i + 1], tensors[i + 1], mpo[i + 1])
         return block_energy
 
-    final_tol = settings.energy_tol / 10.0
+    final_tol = _ENERGY_TOL / 10.0
     tol = max(final_tol, _LOOSE_SOLVER_TOL)
     sweep_energies = []
     converged = right_done = False
-    while len(sweep_energies) < settings.max_sweeps:
+    while len(sweep_energies) < _MAX_SWEEPS:
         if not right_done:
             half_sweep(range(n - 2), "right", tol)
         sweep_energies.append(half_sweep(range(n - 2, -1, -1), "left", tol))
         right_done = False
-        if len(sweep_energies) < 2 or abs(sweep_energies[-1] - sweep_energies[-2]) >= settings.energy_tol:
+        if len(sweep_energies) < 2 or abs(sweep_energies[-1] - sweep_energies[-2]) >= _ENERGY_TOL:
             continue
         if tol == final_tol:
             converged = True
@@ -298,7 +284,7 @@ def ground_state(
         # a failed polish is the first half of the next sweep at the final tolerance
         tol, right_done = final_tol, True
         polished = half_sweep(range(n - 1), "right", tol)
-        if abs(polished - sweep_energies[-1]) < settings.energy_tol:
+        if abs(polished - sweep_energies[-1]) < _ENERGY_TOL:
             converged = True
             break
 

@@ -12,7 +12,7 @@ import pytest
 
 from spinquench.model import HamiltonianParams, build_hamiltonian
 from spinquench.mps import DensityMatrix, TruncationPolicy
-from spinquench.dmrg import DmrgSettings, ground_state
+from spinquench.dmrg import ground_state
 from spinquench.tebd import EvolutionRecord, QuenchProtocol, evolve, grid_offset
 from spinquench.analysis import (
     distance_series,
@@ -44,7 +44,7 @@ def params(triple, n_sites):
 
 def run_quench(pre, post, n_sites, t_max, tau=0.01, sizes=SIZES, seed=3):
     stride = int(round(0.1 / tau))
-    gs = ground_state(build_hamiltonian(params(pre, n_sites)), DmrgSettings(), seed=seed)
+    gs = ground_state(build_hamiltonian(params(pre, n_sites)), seed=seed)
     protocol = QuenchProtocol(
         post=params(post, n_sites), t_max=t_max, tau=tau,
         record_stride=stride, subsystem_sizes=sizes, policy=POLICY,
@@ -125,13 +125,11 @@ def test_criterion_2_ground_state_correctness():
     worst_dense = 0.0
     for triple in (PARA, FERRO):
         for n_sites in (8, 10, 12):
-            result = ground_state(build_hamiltonian(params(triple, n_sites)), DmrgSettings(), seed=3)
+            result = ground_state(build_hamiltonian(params(triple, n_sites)), seed=3)
             _, reference = ed_ground_state(params(triple, n_sites))
             worst_dense = max(worst_dense, abs(result.energy - reference))
-    decoupled = ground_state(build_hamiltonian(HamiltonianParams(0.0, 1.0, 0.0, 20)),
-                             DmrgSettings(), seed=3)
-    classical = ground_state(build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.5, 10)),
-                             DmrgSettings(), seed=3)
+    decoupled = ground_state(build_hamiltonian(HamiltonianParams(0.0, 1.0, 0.0, 20)), seed=3)
+    classical = ground_state(build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.5, 10)), seed=3)
     analytic_dev = max(abs(decoupled.energy + 20.0), abs(classical.energy + 14.0))
     passed = worst_dense <= 1e-8 and analytic_dev <= 1e-10
     record_result(

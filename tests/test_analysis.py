@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinquench.dmrg import DmrgSettings, ground_state
+from spinquench.dmrg import ground_state
 from spinquench.model import HamiltonianParams, build_hamiltonian
 from spinquench.mps import DensityMatrix, TruncationPolicy
 from spinquench.tebd import EvolutionRecord, QuenchProtocol, evolve
@@ -90,7 +90,7 @@ def quench_record():
     """Para -> ferro quench on 8 sites, blocks of 1-3 sites, 21 snapshots."""
     pre = HamiltonianParams(0.2, 1.0, 0.0, 8)
     post = HamiltonianParams(1.0, 0.1, 0.5, 8)
-    gs = ground_state(build_hamiltonian(pre), DmrgSettings(), seed=4)
+    gs = ground_state(build_hamiltonian(pre), seed=4)
     protocol = QuenchProtocol(
         post=post, t_max=2.0, tau=0.01, record_stride=10,
         subsystem_sizes=(1, 2, 3), policy=TruncationPolicy(1e-9, 50),

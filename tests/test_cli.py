@@ -51,18 +51,22 @@ def test_load_config_defaults(tmp_path):
     assert config.post == (1.0, 0.1, 0.5)
     assert config.cutoff == 1e-9
     assert config.chi_max == 50
-    assert config.max_sweeps == 30
+    assert config.sweep_axis is None and config.sweep_values == ()
     assert config.measures == ("td", "tvd")
     assert config.delta_grid == pytest.approx((0.1, 0.2, 0.3))
 
 
 def test_unknown_keys_are_itemised(tmp_path):
-    text = BASE + "\nbogus: 1\ntruncation:\n  cut: 1\n"
+    # the dmrg section and the smoothing windows are constants of the program
+    text = (BASE.replace("analysis:\n", "analysis:\n  curve_smoothing: 2\n")
+            + "\nbogus: 1\ntruncation:\n  cut: 1\ndmrg: {max_sweeps: 5}\n")
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, text))
     joined = " ".join(err.value.errors)
     assert "bogus" in joined
     assert "truncation.cut" in joined
+    assert "'dmrg'" in joined
+    assert "analysis.curve_smoothing" in joined
 
 
 def test_off_grid_delta_rejected(tmp_path):
@@ -343,7 +347,7 @@ def test_main_version(capsys):
         ("t_max: 1.0", "t_max: soon", "quench.t_max"),
         ("tau: 0.01", "tau: [0.01]", "quench.tau"),
         ("record_stride: 10", "record_stride: 10\ntruncation: {cutoff: tiny}", "truncation.cutoff"),
-        ("record_stride: 10", "record_stride: 10\ndmrg: {energy_tol: .nan}", "dmrg.energy_tol"),
+        ("t_max: 1.0", "t_max: .nan", "quench.t_max"),
         ("tau: 0.01", "tau: 0", "quench.tau"),
         ("tau: 0.01", "tau: true", "quench.tau"),
         ("seed: 5", "seed: -1", "seed"),
@@ -564,6 +568,19 @@ def test_run_path_does_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+
+
+def test_one_worker_run_imports_neither_numpy_random_nor_multiprocessing(tmp_path):
+    config, out = write_config(tmp_path, BASE), tmp_path / "out"
+    code = (
+        "import sys; from spinquench.cli import load_config, run_quench_experiment; "
+        f"code = run_quench_experiment(load_config({str(config)!r}), workers=1, "
+        f"output_dir={str(out)!r}); "
+        "print(code, [m for m in ('numpy.random', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_oracle_check_does_not_import_scipy(tmp_path):

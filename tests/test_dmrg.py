@@ -5,7 +5,7 @@ import pytest
 
 from spinquench import dmrg
 from spinquench.model import SX, SZ, HamiltonianParams, HamiltonianSpec, build_hamiltonian
-from spinquench.dmrg import DmrgSettings, ground_state, _bond_factors, _mpo_from_bond_terms
+from spinquench.dmrg import ground_state, _bond_factors, _mpo_from_bond_terms
 from spinquench.dmrg import _contract_left, _contract_right, _lanczos, _solve_block
 from spinquench.exact import ed_ground_state, ed_hamiltonian
 from spinquench.mps import TruncationPolicy
@@ -75,7 +75,7 @@ def test_mpo_of_generic_bond_terms():
 
 def test_decoupled_transverse_chain():
     spec = build_hamiltonian(HamiltonianParams(0.0, 1.0, 0.0, 20))
-    result = ground_state(spec, DmrgSettings(), seed=3)
+    result = ground_state(spec, seed=3)
     assert result.converged
     assert result.energy == pytest.approx(-20.0, abs=1e-10)
     for j in range(20):
@@ -84,7 +84,7 @@ def test_decoupled_transverse_chain():
 
 def test_classical_limit():
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.5, 10))
-    result = ground_state(spec, DmrgSettings(), seed=3)
+    result = ground_state(spec, seed=3)
     assert result.energy == pytest.approx(-14.0, abs=1e-10)
     for j in range(10):
         assert local_expectation(result.state, SZ, j) == pytest.approx(1.0, abs=1e-8)
@@ -93,7 +93,7 @@ def test_classical_limit():
 @pytest.mark.parametrize("n_sites", (8, 10, 12))
 def test_matches_dense_diagonalisation(n_sites):
     params = HamiltonianParams(0.2, 1.0, 0.0, n_sites)
-    result = ground_state(build_hamiltonian(params), DmrgSettings(), seed=3)
+    result = ground_state(build_hamiltonian(params), seed=3)
     _, reference = ed_ground_state(params)
     assert abs(result.energy - reference) <= 1e-8
 
@@ -122,7 +122,7 @@ def test_free_fermion_energy_matches_dense(coupling, h_x):
 @pytest.mark.parametrize("coupling, h_x, n_sites", ((0.2, 1.0, 60), (1.0, 1.0, 24)))
 def test_matches_free_fermion_energy_beyond_dense_reach(coupling, h_x, n_sites):
     spec = build_hamiltonian(HamiltonianParams(coupling, h_x, 0.0, n_sites))
-    result = ground_state(spec, DmrgSettings(), seed=3)
+    result = ground_state(spec, seed=3)
     assert result.converged
     assert abs(result.energy - free_fermion_energy(coupling, h_x, n_sites)) <= 1e-9
 
@@ -131,7 +131,7 @@ def test_matches_free_fermion_energy_beyond_dense_reach(coupling, h_x, n_sites):
 def test_ground_state_overlaps_dense_one(n_sites):
     # the polish half-sweep solves every block to the final tolerance
     params = HamiltonianParams(0.2, 1.0, 0.0, n_sites)
-    result = ground_state(build_hamiltonian(params), DmrgSettings(), seed=3)
+    result = ground_state(build_hamiltonian(params), seed=3)
     reference, _ = ed_ground_state(params)
     overlap = abs(np.vdot(reference.amplitudes, to_statevector(result.state)))
     assert overlap >= 1 - 1e-12
@@ -140,7 +140,7 @@ def test_ground_state_overlaps_dense_one(n_sites):
 def test_real_chain_is_solved_in_real_arithmetic():
     spec = build_hamiltonian(HamiltonianParams(1.0, 1.0, 0.3, 10))
     assert all(w.dtype == np.float64 for w in _mpo_from_bond_terms(spec))
-    result = ground_state(spec, DmrgSettings(), seed=3)
+    result = ground_state(spec, seed=3)
     assert all(t.dtype == np.float64 for t in result.state.tensors)
     assert abs(result.energy - ed_ground_state(spec.params)[1]) <= 1e-9
 
@@ -148,7 +148,7 @@ def test_real_chain_is_solved_in_real_arithmetic():
 def test_complex_chain_stays_complex():
     spec = random_spec(6, np.random.default_rng(23))
     assert all(w.dtype == np.complex128 for w in _mpo_from_bond_terms(spec))
-    result = ground_state(spec, DmrgSettings(), seed=3)
+    result = ground_state(spec, seed=3)
     assert result.converged
     assert all(t.dtype == np.complex128 for t in result.state.tensors)
     dense = sum(
@@ -168,9 +168,9 @@ def test_complex_chain_stays_complex():
 ))
 def test_workload_ground_states_keep_their_sweeps(triple, n_sites, chi_max, sweeps):
     spec = build_hamiltonian(HamiltonianParams(*triple, n_sites))
-    settings = DmrgSettings(policy=TruncationPolicy(cutoff=1e-9, chi_max=chi_max))
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=chi_max)
     for seed in (0, 3):
-        result = ground_state(spec, settings, seed=seed)
+        result = ground_state(spec, policy, seed=seed)
         assert result.converged
         assert result.sweeps == sweeps
         assert result.matvecs > 0
@@ -187,12 +187,13 @@ def test_failed_polish_keeps_sweeping_at_final_tolerance(monkeypatch):
 
     monkeypatch.setattr(dmrg, "_solve_block", shifted)
     params = HamiltonianParams(0.2, 1.0, 0.0, 10)
-    result = ground_state(build_hamiltonian(params), DmrgSettings(), seed=3)
+    result = ground_state(build_hamiltonian(params), seed=3)
     assert result.converged
     assert result.sweeps == 4  # two loose, then two at the final tolerance
     assert result.sweep_energies[1] - result.sweep_energies[2] == pytest.approx(1e-6, abs=1e-9)
     assert abs(result.energy - ed_ground_state(params)[1]) <= 1e-10
-    cut_short = ground_state(build_hamiltonian(params), DmrgSettings(max_sweeps=2), seed=3)
+    monkeypatch.setattr(dmrg, "_MAX_SWEEPS", 2)
+    cut_short = ground_state(build_hamiltonian(params), seed=3)
     assert not cut_short.converged and cut_short.sweeps == 2
 
 
@@ -200,7 +201,7 @@ def test_variational_bound_and_monotone_sweeps():
     rng = np.random.default_rng(41)
     for trial in range(3):
         params = HamiltonianParams(*rng.normal(size=3), int(rng.integers(4, 11)))
-        result = ground_state(build_hamiltonian(params), DmrgSettings(), seed=trial)
+        result = ground_state(build_hamiltonian(params), seed=trial)
         _, reference = ed_ground_state(params)
         assert result.energy >= reference - 1e-12
         diffs = np.diff(result.sweep_energies)
@@ -209,7 +210,7 @@ def test_variational_bound_and_monotone_sweeps():
 
 def test_returned_energy_is_state_expectation():
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.1, 0.5, 12))
-    result = ground_state(spec, DmrgSettings(), seed=3)
+    result = ground_state(spec, seed=3)
     assert abs(result.energy - result.state.copy().energy(spec)) <= 1e-10
     psi = to_statevector(result.state)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
@@ -224,14 +225,14 @@ def test_returned_energy_is_state_expectation():
 def test_symmetric_ferromagnet_picks_up_branch():
     # h_z = 0 in the ordered phase: the tilt must select the spin-up branch
     spec = build_hamiltonian(HamiltonianParams(1.0, 0.1, 0.0, 12))
-    result = ground_state(spec, DmrgSettings(), seed=5)
+    result = ground_state(spec, seed=5)
     assert local_expectation(result.state, SZ, 6) > 0.5
 
 
-def test_non_convergence_is_flagged():
+def test_non_convergence_is_flagged(monkeypatch):
     spec = build_hamiltonian(HamiltonianParams(0.2, 1.0, 0.0, 12))
-    settings = DmrgSettings(max_sweeps=1, energy_tol=1e-10)
-    result = ground_state(spec, settings, seed=3)
+    monkeypatch.setattr(dmrg, "_MAX_SWEEPS", 1)
+    result = ground_state(spec, seed=3)
     assert not result.converged
     assert result.sweeps == 1
     assert np.isfinite(result.energy)
@@ -239,20 +240,11 @@ def test_non_convergence_is_flagged():
 
 def test_determinism_for_fixed_seed():
     spec = build_hamiltonian(HamiltonianParams(0.5, 0.8, 0.2, 10))
-    a = ground_state(spec, DmrgSettings(), seed=11)
-    b = ground_state(spec, DmrgSettings(), seed=11)
+    a = ground_state(spec, seed=11)
+    b = ground_state(spec, seed=11)
     assert a.energy == b.energy
     for ta, tb in zip(a.state.tensors, b.state.tensors):
         assert np.array_equal(ta, tb)
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        DmrgSettings(max_sweeps=0)
-    with pytest.raises(ValueError):
-        DmrgSettings(energy_tol=0.0)
-    with pytest.raises(ValueError):
-        DmrgSettings(local_solver_iters=0)
 
 
 def _random_hermitian(dim, seed):

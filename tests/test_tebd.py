@@ -5,7 +5,7 @@ import pytest
 
 from spinquench.model import SZ, HamiltonianParams, build_hamiltonian
 from spinquench.mps import MpsState, TruncationPolicy
-from spinquench.dmrg import DmrgSettings, ground_state
+from spinquench.dmrg import ground_state
 from spinquench.tebd import EvolutionRecord, QuenchProtocol, centered_block, evolve, grid_offset
 from spinquench.exact import DensePropagator, ed_rdm
 
@@ -26,7 +26,7 @@ def short_protocol(**overrides):
 
 @pytest.fixture(scope="module")
 def para_ground():
-    return ground_state(build_hamiltonian(PARA), DmrgSettings(), seed=3)
+    return ground_state(build_hamiltonian(PARA), seed=3)
 
 
 def test_centered_block_placement():
@@ -159,7 +159,7 @@ def test_determinism(para_ground):
 def test_abort_on_saturated_bond_with_large_discards():
     pre = HamiltonianParams(1.0, 0.1, 0.5, 12)
     post = HamiltonianParams(0.2, 1.0, 0.0, 12)
-    gs = ground_state(build_hamiltonian(pre), DmrgSettings(), seed=3)
+    gs = ground_state(build_hamiltonian(pre), seed=3)
     protocol = QuenchProtocol(
         post=post, t_max=5.0, tau=0.01, record_stride=10,
         subsystem_sizes=(1, 2), policy=TruncationPolicy(1e-9, 2),
