@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .model import (
     HamiltonianParams,
     HamiltonianSpec,
-    TrotterScheme,
     build_hamiltonian,
     build_trotter_gates,
 )
@@ -30,7 +29,6 @@ from .analysis import (
 __all__ = [
     "HamiltonianParams",
     "HamiltonianSpec",
-    "TrotterScheme",
     "build_hamiltonian",
     "build_trotter_gates",
     "DensityMatrix",

@@ -9,8 +9,8 @@ over separations to give a degree curve. Extremum spacing on either kind of
 series yields the characteristic timescales.
 
 Each measure has one definition, written over stacks of states, that serves
-both a single pair and a whole series. A series is computed in one batch
-from slices of the record's stacked block states (``EvolutionRecord.rdms``):
+both a pair of plain matrices and a whole series. A series is computed in one
+batch from slices of a record's stacked block states (``EvolutionRecord.rdms``):
 the total variation distance reads the spectra the stack cached when it was
 validated, so it needs no eigensolve at all, and the trace distance makes one
 batched eigensolve of all the differences.
@@ -22,28 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mps import DensityMatrix
 from .tebd import EvolutionRecord, grid_offset
-
-MEASURES = ("td", "tvd")
 
 _REVIVAL_FLOOR = 1e-12
 _RANGE_SLACK = 1e-12
 _SPACING_TOL = 1e-9
-
-
-def _entries(state) -> np.ndarray:
-    """One matrix, or a stack of them from a stacked DensityMatrix."""
-    if isinstance(state, DensityMatrix):
-        return state.entries
-    return np.asarray(state)
-
-
-def _spectrum(state) -> np.ndarray:
-    """Ascending eigenvalues (one row per matrix of a stack); cached on a DensityMatrix."""
-    if isinstance(state, DensityMatrix):
-        return state.spectrum()
-    return np.linalg.eigvalsh(np.asarray(state))
 
 
 def _sorted_spectra(evals: np.ndarray) -> np.ndarray:
@@ -67,36 +50,27 @@ def _total_variation_distances(later: np.ndarray, earlier: np.ndarray) -> np.nda
     return 0.5 * np.abs(_sorted_spectra(later) - _sorted_spectra(earlier)).sum(-1)
 
 
-# per measure: what it reads from each state, and its formula over stacks of those
-_MEASURES = {
-    "td": (_entries, _trace_distances),
-    "tvd": (_spectrum, _total_variation_distances),
-}
+# per measure, its formula over stacks: of matrices for "td", of their spectra for "tvd"
+_MEASURES = {"td": _trace_distances, "tvd": _total_variation_distances}
 
 
-def _distance(key: str, rho, sigma) -> float:
-    a, b = _entries(rho), _entries(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    read, formula = _MEASURES[key]
-    return float(formula(read(rho), read(sigma)))
+def _matrix_pair(rho, sigma):
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    if rho.ndim != 2 or rho.shape != sigma.shape:
+        raise ValueError(f"need two matrices of one shape, got {rho.shape} and {sigma.shape}")
+    return rho, sigma
 
 
 def trace_distance(rho, sigma) -> float:
-    """Half the sum of absolute eigenvalues of (rho - sigma)."""
-    return _distance("td", rho, sigma)
+    """Half the sum of absolute eigenvalues of (rho - sigma), for two Hermitian matrices."""
+    rho, sigma = _matrix_pair(rho, sigma)
+    return float(_trace_distances(rho, sigma))
 
 
 def total_variation_distance(rho, sigma) -> float:
-    """Half the l1 distance between the descendingly sorted spectra."""
-    return _distance("tvd", rho, sigma)
-
-
-def _check_measure(measure: str) -> str:
-    key = measure.lower()
-    if key not in _MEASURES:
-        raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
-    return key
+    """Half the l1 distance between the descendingly sorted spectra of two Hermitian matrices."""
+    rho, sigma = _matrix_pair(rho, sigma)
+    return float(_total_variation_distances(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(sigma)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +113,9 @@ def distance_series(
     All values come from one batched evaluation over slices of the record's
     stacked block states.
     """
-    key = _check_measure(measure)
+    key = measure.lower()
+    if key not in _MEASURES:
+        raise ValueError(f"measure must be one of {tuple(_MEASURES)}, got {measure!r}")
     if ell not in record.rdms:
         raise ValueError(f"subsystem size {ell} was not recorded")
     offset = grid_offset(delta, record.spacing)
@@ -147,9 +123,8 @@ def distance_series(
     n_pairs = max(len(rdms) - offset, 0)
     values = np.zeros(0)
     if n_pairs:
-        read, formula = _MEASURES[key]
-        stack = read(rdms)
-        values = formula(stack[offset:], stack[:n_pairs])
+        stack = rdms.entries if key == "td" else rdms.spectrum()
+        values = _MEASURES[key](stack[offset:], stack[:n_pairs])
     return DistanceSeries(
         measure=key,
         ell=ell,

@@ -423,6 +423,8 @@ def run_quench_experiment(config: ExperimentConfig, workers: int = 1,
     """Execute every sweep point and persist series/degrees/timescales/manifest.
 
     Every point is quenched from one pre-quench ground state, computed once.
+    With ``workers`` > 1 and more than one point, a pool of at most one process
+    per point runs them.
     The manifest says ``running``, and no CSV is present, until the outputs
     are written, so a run that fails part-way never leaves an earlier run's
     success or results behind.
@@ -439,7 +441,7 @@ def run_quench_experiment(config: ExperimentConfig, workers: int = 1,
     if workers > 1 and len(jobs) > 1:
         from multiprocessing import Pool  # only a pooled run pays for the import
 
-        with Pool(processes=workers) as pool:
+        with Pool(processes=min(workers, len(jobs))) as pool:
             results = pool.map(_run_point, jobs)
     else:
         results = [_run_point(job) for job in jobs]
@@ -470,10 +472,15 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
     out = Path(output_dir if output_dir is not None else config.output_dir)
     report_path = out / "oracle_report.json"
     report_path.unlink(missing_ok=True)
+    errors = []
     if config.n_sites > ORACLE_MAX_SITES:
-        raise ConfigError(
-            [f"oracle-check needs system.sites <= {ORACLE_MAX_SITES}, got {config.n_sites}"]
-        )
+        errors.append(f"oracle-check needs system.sites <= {ORACLE_MAX_SITES}, "
+                      f"got {config.n_sites}")
+    if config.sweep_axis is not None:
+        errors.append(f"oracle-check compares one quench and refuses a 'sweep' section, "
+                      f"got {len(config.sweep_values)} points on {config.sweep_axis}")
+    if errors:
+        raise ConfigError(errors)
     out.mkdir(parents=True, exist_ok=True)
 
     pre, post = config.pre_params(), config.post_params()
@@ -533,6 +540,14 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
     return EXIT_OK if passed else EXIT_ORACLE
 
 
+def _worker_count(raw: str) -> int:
+    """``--workers``: an integer >= 1; argparse exits 2 on anything else."""
+    try:
+        return _integer(1)(int(raw))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spinquench",
@@ -543,7 +558,8 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run a quench experiment from a config file")
     run_p.add_argument("config", help="path to the YAML config")
-    run_p.add_argument("--workers", type=int, default=1, help="sweep-point worker count")
+    run_p.add_argument("--workers", type=_worker_count, default=1,
+                       help="sweep-point worker count (at least 1; at most one per point starts)")
     run_p.add_argument("--output", default=None, help="output directory (overrides config)")
 
     oracle_p = sub.add_parser(

@@ -11,7 +11,8 @@ bond, so the bond terms sum back to H exactly.
 
 Bond terms are generic 4x4 Hermitian matrices; the Ising case is just the
 instance built by :func:`build_hamiltonian`. Trotter gates are exact matrix
-exponentials of the bond terms (eigendecomposition of a 4x4 Hermitian).
+exponentials of the bond terms (eigendecomposition of a 4x4 Hermitian),
+stacked per layer in the form the MPS gate path applies.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 HERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,35 +77,6 @@ class HamiltonianSpec:
         return self.params.n_sites
 
 
-@dataclass(frozen=True, eq=False)
-class TrotterScheme:
-    """One second-order step: odd bonds at tau/2, even bonds at tau, odd at tau/2.
-
-    ``gate_layers`` is an ordered sequence of layers, each a tuple of
-    ``(bond, gate)`` pairs with ``gate`` a complex 4x4 unitary acting on sites
-    (bond, bond+1). Bonds within a layer are disjoint, so gates in a layer
-    commute and may be applied in any order.
-    """
-
-    tau: float
-    gate_layers: tuple
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"time step must be positive, got {self.tau}")
-        eye = np.eye(4)
-        for layer in self.gate_layers:
-            for bond, gate in layer:
-                # the MPS gate path relies on this and checks neither itself
-                if gate.shape != (4, 4) or gate.dtype != np.complex128:
-                    raise ValueError(
-                        f"gate on bond {bond} must be a complex128 4x4 array, "
-                        f"got {gate.dtype} {gate.shape}"
-                    )
-                if np.max(np.abs(gate.conj().T @ gate - eye)) > UNITARITY_TOL:
-                    raise ValueError(f"gate on bond {bond} is not unitary")
-
-
 def build_hamiltonian(params: HamiltonianParams) -> HamiltonianSpec:
     """Compile the mixed-field Ising chain into per-bond 4x4 Hermitian terms.
 
@@ -136,20 +107,23 @@ def _bond_exponential(term: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
 
 
-def build_trotter_gates(hspec: HamiltonianSpec, tau: float) -> TrotterScheme:
-    """Second-order symmetric splitting of exp(-i H tau) into bond gates.
+def build_trotter_gates(hspec: HamiltonianSpec, tau: float):
+    """Second-order symmetric splitting of exp(-i H tau) into three gate layers.
 
-    Layer ordering is odd-even-odd, where the "odd" layer holds bonds
-    0, 2, 4, ... (first, third, ... bond of the chain) and the "even" layer
-    bonds 1, 3, 5, ...; the outer layers carry tau/2, the inner layer tau.
+    Each layer is a pair ``(bonds, gates)``, as ``MpsState.apply_gate_layer``
+    takes it: ``bonds`` a tuple of bonds two apart, ``gates`` the (len(bonds),
+    4, 4) complex128 stack of their unitaries. The order is odd-even-odd,
+    where the "odd" layer holds bonds 0, 2, 4, ... (first, third, ... bond of
+    the chain) at tau/2 and the "even" layer bonds 1, 3, 5, ... at tau; the
+    two odd layers are one shared pair.
     """
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
-    n_bonds = len(hspec.bond_terms)
-    half = tuple(
-        (b, _bond_exponential(hspec.bond_terms[b], tau / 2.0)) for b in range(0, n_bonds, 2)
-    )
-    full = tuple(
-        (b, _bond_exponential(hspec.bond_terms[b], tau)) for b in range(1, n_bonds, 2)
-    )
-    return TrotterScheme(tau=tau, gate_layers=(half, full, half))
+
+    def layer(first, dt):
+        bonds = tuple(range(first, len(hspec.bond_terms), 2))
+        gates = [_bond_exponential(hspec.bond_terms[b], dt) for b in bonds]
+        return bonds, np.array(gates, dtype=complex).reshape(len(bonds), 4, 4)
+
+    half = layer(0, tau / 2.0)
+    return half, layer(1, tau), half

@@ -55,15 +55,13 @@ class TruncationPolicy:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """State of a contiguous block of sites, or a time stack of such states.
+    """States of a contiguous block of sites at a run of times.
 
-    ``entries`` is one matrix (d, d) or a stack (T, d, d), each checked to be
-    Hermitian, of unit trace and positive: a stack by one batched reduction
-    and one batched ``eigvalsh``. ``sites`` records which chain sites the block
-    covers. The spectra of the positivity check are kept (see ``spectrum``),
-    so ``entries`` is stored read-only. A stack is a sequence: ``stack[k]`` is
-    its k-th state, a view that reuses the checked row and its spectrum, and a
-    slice is a stack again.
+    ``entries`` is a stack (T, d, d), checked by one batched reduction and one
+    batched ``eigvalsh`` to hold Hermitian, unit-trace, positive matrices;
+    ``entries[k]`` is the state at the k-th time. ``sites`` records which chain
+    sites the block covers. The spectra of the positivity check are kept (see
+    ``spectrum``), so ``entries`` is stored read-only.
     """
 
     entries: np.ndarray
@@ -72,48 +70,33 @@ class DensityMatrix:
 
     def __post_init__(self):
         rho = self.entries
-        if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
-            raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+        if rho.ndim != 3 or rho.shape[-1] != rho.shape[-2]:
+            raise ValueError(f"density matrices must be a stack (T, d, d), got shape {rho.shape}")
         if rho.shape[-1] != 2 ** len(self.sites):
             raise ValueError(
                 f"dimension {rho.shape[-1]} does not match {len(self.sites)} sites"
             )
         if np.any(np.abs(rho - rho.conj().swapaxes(-1, -2)) > _HERM_TOL):
             raise ValueError("density matrix is not Hermitian")
-        traces = np.atleast_1d(np.trace(rho, axis1=-2, axis2=-1))
+        traces = np.trace(rho, axis1=-2, axis2=-1)
         off = np.abs(traces - 1.0) > _TRACE_TOL
         if np.any(off):
             raise ValueError(f"trace {traces[off][0]} is not 1")
         evals = np.linalg.eigvalsh(rho)
         if np.any(evals[..., 0] < _EIG_FLOOR):
             raise ValueError("density matrix has a significantly negative eigenvalue")
-        self._keep(rho.view(), evals)
-
-    def _keep(self, entries, spectrum):
-        entries.flags.writeable = spectrum.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_spectrum", spectrum)
+        rho = rho.view()
+        rho.flags.writeable = evals.flags.writeable = False
+        object.__setattr__(self, "entries", rho)
+        object.__setattr__(self, "_spectrum", evals)
 
     def __len__(self) -> int:
-        if self.entries.ndim == 2:
-            raise TypeError("a single density matrix has no length")
         return len(self.entries)
 
-    def __getitem__(self, index) -> "DensityMatrix":
-        """The state at one index or the stack of a slice; iteration goes through here."""
-        if self.entries.ndim == 2:
-            raise TypeError("a single density matrix is not indexable")
-        # past the end, IndexError ends an iteration; the parts passed the
-        # checks already, so nothing is rechecked
-        dm = object.__new__(DensityMatrix)
-        object.__setattr__(dm, "sites", self.sites)
-        dm._keep(self.entries[index], self._spectrum[index])
-        return dm
-
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues in ascending order (for a stack, one row per matrix), read-only.
+        """Eigenvalues in ascending order, one row per matrix of the stack, read-only.
 
-        Computed once, when the matrix is validated, and cached: distance
+        Computed once, when the stack is validated, and cached: distance
         series read every RDM's spectrum from here instead of
         re-diagonalising it for each pair.
         """
@@ -196,7 +179,8 @@ class MpsState:
         the new left tensor is the gated pair contracted with the new right
         isometry, so no singular value is ever inverted (Hastings, J. Math.
         Phys. 50, 095207 (2009)).
-        ``TrotterScheme`` checks gate shapes and dtypes; this hot path does not.
+        This hot path does not check the gate: ``model.build_trotter_gates``
+        makes every gate a complex128 4x4 unitary.
         """
         schmidt = self.schmidt_values
         i = left_site

@@ -6,9 +6,10 @@ the accumulated discarded weight every ``record_stride`` steps (the t = 0
 snapshot always included). The state is a copy of the initial ``MpsState``
 and, like every ``MpsState``, in the Schmidt form: every gate updates its own
 bond in place, so the gates of a layer may run in any order, and each snapshot
-reads local contractions without re-gauging the chain. Each layer's gates are
-stacked once per run, and a layer is applied by one
-``MpsState.apply_gate_layer`` call, which batches the bonds that share a shape.
+reads local contractions without re-gauging the chain. The three layers of a
+step come from ``build_trotter_gates`` once per run, each a stack of gates, and
+a layer is applied by one ``MpsState.apply_gate_layer`` call, which batches the
+bonds that share a shape.
 A snapshot keeps each block's Hermitian matrix unchecked; when the run ends,
 each block size's matrices become one stacked ``DensityMatrix``, validated by
 one batched check and eigensolve.
@@ -60,7 +61,7 @@ class QuenchProtocol:
 class EvolutionRecord:
     """Time-indexed archive of one quench run.
 
-    ``rdms[ell][k]`` is the block density matrix of size ``ell`` at
+    ``rdms[ell].entries[k]`` is the block density matrix of size ``ell`` at
     ``times[k]``; ``energies``, ``max_bond`` and ``cumulative_discarded`` are
     parallel to ``times``. Each ``rdms[ell]`` is one stacked ``DensityMatrix``
     with entries (n_times, d, d), and its ``sites`` name the block.
@@ -125,10 +126,8 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     if initial.n_sites != n:
         raise ValueError(f"state has {initial.n_sites} sites, protocol expects {n}")
     hspec = build_hamiltonian(protocol.post)
-    scheme = build_trotter_gates(hspec, protocol.tau)
+    layers = build_trotter_gates(hspec, protocol.tau)
     policy = protocol.policy
-    layers = [(tuple(bond for bond, _ in layer), np.array([gate for _, gate in layer]))
-              for layer in scheme.gate_layers]
     blocks = {ell: centered_block(n, ell) for ell in protocol.subsystem_sizes}
 
     state = initial.copy()

@@ -36,14 +36,14 @@ def local_expectation(state: MpsState, op, site: int) -> float:
 
 
 def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
-    """Trace a block density matrix down to the contiguous sub-block ``keep``."""
+    """Trace a stack of block density matrices down to the contiguous sub-block ``keep``."""
     keep = tuple(keep)
     n_left = dm.sites.index(keep[0])
     n_right = len(dm.sites) - n_left - len(keep)
     shaped = dm.entries.reshape(
-        2**n_left, 2 ** len(keep), 2**n_right, 2**n_left, 2 ** len(keep), 2**n_right
+        len(dm), 2**n_left, 2 ** len(keep), 2**n_right, 2**n_left, 2 ** len(keep), 2**n_right
     )
-    rho = np.einsum("aibajb->ij", shaped)
+    rho = np.einsum("taibajb->tij", shaped)
     return DensityMatrix(entries=rho, sites=keep)
 
 

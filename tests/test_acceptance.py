@@ -83,7 +83,7 @@ def oracle_deviations(n_sites, t_max=5.0):
         for ell in sizes:
             rho = ed_rdm(psi, record.rdms[ell].sites)
             ref_entries[ell].append(rho)
-            rdm_dev = max(rdm_dev, float(np.max(np.abs(rho - record.rdms[ell][k].entries))))
+            rdm_dev = max(rdm_dev, float(np.max(np.abs(rho - record.rdms[ell].entries[k]))))
     ref_rdms = {
         ell: DensityMatrix(entries=np.array(rows), sites=record.rdms[ell].sites)
         for ell, rows in ref_entries.items()
@@ -236,7 +236,8 @@ def test_criterion_7_contractivity_ordering(headline_records):
             offset = grid_offset(delta, record.spacing)
             for k in range(record.n_times - offset):
                 tds = [
-                    trace_distance(record.rdms[ell][k + offset], record.rdms[ell][k])
+                    trace_distance(record.rdms[ell].entries[k + offset],
+                                   record.rdms[ell].entries[k])
                     for ell in SIZES
                 ]
                 worst = max(worst, max(s - b for s, b in zip(tds[:-1], tds[1:])))

@@ -62,6 +62,8 @@ def test_trace_distance_reference_points():
     assert trace_distance(UP, MIXED) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         trace_distance(UP, np.eye(4) / 4)
+    with pytest.raises(ValueError):
+        trace_distance(UP[None], DOWN[None])  # two matrices, not stacks
 
 
 def test_tvd_reference_points():
@@ -103,7 +105,7 @@ def test_batched_series_equals_pairwise_loop(quench_record):
     pairwise = {"td": trace_distance, "tvd": total_variation_distance}
     for measure, fn in pairwise.items():
         for ell in (1, 2, 3):
-            rdms = record.rdms[ell]
+            rdms = record.rdms[ell].entries
             for offset in (0, 7, record.n_times + 2):
                 series = distance_series(record, ell, offset * record.spacing, measure)
                 loop = np.array(
@@ -114,10 +116,12 @@ def test_batched_series_equals_pairwise_loop(quench_record):
 
 
 def test_density_matrix_spectrum_is_cached_and_read_only(quench_record):
-    for rho in quench_record.rdms[3][::5]:
-        spectrum = rho.spectrum()
-        assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.entries))
-        assert not spectrum.flags.writeable
+    stack = quench_record.rdms[3]
+    spectrum = stack.spectrum()
+    assert spectrum is stack.spectrum()
+    for k in range(0, len(stack), 5):
+        assert np.array_equal(spectrum[k], np.linalg.eigvalsh(stack.entries[k]))
+    assert not spectrum.flags.writeable
 
 
 def test_tvd_rejects_spectrum_without_weight():

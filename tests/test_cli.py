@@ -334,6 +334,21 @@ def test_oracle_check_site_cap_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oracle_check_refuses_a_sweep_section(tmp_path, capsys, monkeypatch):
+    def no_dmrg(*args, **kwargs):
+        raise AssertionError("ground_state ran before the config was refused")
+
+    monkeypatch.setattr("spinquench.cli.ground_state", no_dmrg)
+    text = BASE + "\nsweep: {axis: post.h_z, values: [0.1, 0.9]}\n"
+    out = tmp_path / "out"
+    assert main(["oracle-check", str(write_config(tmp_path, text)), "--output", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: oracle-check compares one quench and refuses a 'sweep' section" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -561,6 +576,44 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     assert run_quench_experiment(config, workers=2, output_dir=out_2) == EXIT_OK
     for name in ("series.csv", "degrees.csv", "timescales.csv"):
         assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes()
+
+
+def test_pool_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process; starts no process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    config = load_config(write_config(tmp_path, SWEEP))
+    assert run_quench_experiment(config, workers=8, output_dir=tmp_path / "out") == EXIT_OK
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "two"])
+def test_workers_below_one_are_refused(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(write_config(tmp_path, BASE)), f"--workers={workers}",
+              "--output", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument --workers: must be an integer >= 1, got '{workers}'" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_path_does_not_import_scipy():

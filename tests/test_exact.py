@@ -174,8 +174,8 @@ def test_rdm_of_stacked_states_matches_each_state():
 
 def test_rdm_product_state_is_pure():
     state = basis_state(6, index=0b101010)
-    dm = DensityMatrix(entries=ed_rdm(state, (1, 2, 3)), sites=(1, 2, 3))
-    purity = np.real(np.trace(dm.entries @ dm.entries))
+    dm = DensityMatrix(entries=ed_rdm(state, (1, 2, 3))[None], sites=(1, 2, 3))
+    purity = np.real(np.trace(dm.entries[0] @ dm.entries[0]))
     assert purity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -190,8 +190,8 @@ def test_rdm_axioms_on_evolved_state():
     params = HamiltonianParams(1.0, 0.1, 0.5, 10)
     state, _ = ed_ground_state(HamiltonianParams(0.2, 1.0, 0.0, 10))
     evolved = DensePropagator(params).evolve(state, 3.0)
-    dm = DensityMatrix(entries=ed_rdm(evolved, (3, 4, 5, 6)), sites=(3, 4, 5, 6))
-    assert abs(np.trace(dm.entries) - 1.0) <= 1e-12
+    dm = DensityMatrix(entries=ed_rdm(evolved, (3, 4, 5, 6))[None], sites=(3, 4, 5, 6))
+    assert abs(np.trace(dm.entries[0]) - 1.0) <= 1e-12
     assert np.min(dm.spectrum()) >= -1e-12
 
 
@@ -200,9 +200,9 @@ def test_rdm_nested_consistency():
     amps = rng.normal(size=2**7) + 1j * rng.normal(size=2**7)
     amps /= np.linalg.norm(amps)
     state = DenseState(amplitudes=amps, n_sites=7)
-    big = DensityMatrix(entries=ed_rdm(state, (2, 3, 4, 5)), sites=(2, 3, 4, 5))
+    big = DensityMatrix(entries=ed_rdm(state, (2, 3, 4, 5))[None], sites=(2, 3, 4, 5))
     small = ed_rdm(state, (3, 4))
-    assert np.max(np.abs(partial_trace(big, (3, 4)).entries - small)) <= 1e-12
+    assert np.max(np.abs(partial_trace(big, (3, 4)).entries[0] - small)) <= 1e-12
 
 
 def test_rdm_invalid_ranges():

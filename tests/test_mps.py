@@ -185,8 +185,8 @@ def test_bell_gate_creates_maximal_entanglement():
     state.apply_two_site_gate(BELL_GATE, 0, TruncationPolicy())
     assert state.bond_dims == [2]
     assert np.allclose(state.schmidt_values[1], [np.sqrt(0.5)] * 2, atol=1e-12)
-    dm = DensityMatrix(entries=state.rdm((0,)), sites=(0,))
-    assert np.allclose(np.sort(dm.spectrum()), [0.5, 0.5], atol=1e-12)
+    dm = DensityMatrix(entries=state.rdm((0,))[None], sites=(0,))
+    assert np.allclose(np.sort(dm.spectrum()[0]), [0.5, 0.5], atol=1e-12)
 
 
 def test_discarded_weight_within_cutoff_when_chi_unbounded():
@@ -217,7 +217,7 @@ def test_rdm_product_state_is_projector():
     state = product_state([UP, DOWN, UP, DOWN])
     rho = state.rdm((1,))
     assert np.allclose(rho, [[0, 0], [0, 1]], atol=1e-12)
-    DensityMatrix(entries=rho, sites=(1,))  # a valid density matrix
+    DensityMatrix(entries=rho[None], sites=(1,))  # a valid density matrix
 
 
 def test_rdm_ghz_two_sites():
@@ -238,9 +238,9 @@ def test_rdm_matches_dense_partial_trace():
 def test_rdm_nesting_consistency():
     rng = np.random.default_rng(13)
     state = random_state(9, 8, rng)
-    big = DensityMatrix(entries=state.rdm((2, 3, 4, 5)), sites=(2, 3, 4, 5))
+    big = DensityMatrix(entries=state.rdm((2, 3, 4, 5))[None], sites=(2, 3, 4, 5))
     reduced = partial_trace(big, (3, 4))
-    assert np.max(np.abs(reduced.entries - state.rdm((3, 4)))) <= 1e-10
+    assert np.max(np.abs(reduced.entries[0] - state.rdm((3, 4)))) <= 1e-10
 
 
 def test_rdm_bounds():
@@ -269,13 +269,17 @@ def test_energy_size_mismatch():
 
 def test_density_matrix_validation():
     good = np.diag([0.5, 0.5]).astype(complex)
-    DensityMatrix(entries=good, sites=(0,))
+    DensityMatrix(entries=good[None], sites=(0,))
+    with pytest.raises(ValueError, match=r"stack \(T, d, d\)"):
+        DensityMatrix(entries=good, sites=(0,))  # a single matrix is a stack of one
+    with pytest.raises(ValueError, match="does not match 2 sites"):
+        DensityMatrix(entries=good[None], sites=(0, 1))
     with pytest.raises(ValueError):
-        DensityMatrix(entries=np.diag([0.7, 0.7]).astype(complex), sites=(0,))
+        DensityMatrix(entries=np.diag([0.7, 0.7]).astype(complex)[None], sites=(0,))
     with pytest.raises(ValueError):
-        DensityMatrix(entries=np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex), sites=(0,))
+        DensityMatrix(entries=np.array([[[0.5, 1.0], [0.0, 0.5]]], dtype=complex), sites=(0,))
     with pytest.raises(ValueError):
-        DensityMatrix(entries=np.diag([1.5, -0.5]).astype(complex), sites=(0,))
+        DensityMatrix(entries=np.diag([1.5, -0.5]).astype(complex)[None], sites=(0,))
 
 
 def random_density_stack(rng, count, dim):
@@ -293,7 +297,7 @@ def test_density_stack_rejects_one_bad_matrix_with_the_single_message(bad, messa
     stack = random_density_stack(np.random.default_rng(40), 7, 2)
     DensityMatrix(entries=stack, sites=(0,))
     with pytest.raises(ValueError, match=message):
-        DensityMatrix(entries=bad, sites=(0,))
+        DensityMatrix(entries=bad[None], sites=(0,))
     stack[3] = bad
     with pytest.raises(ValueError, match=message):
         DensityMatrix(entries=stack, sites=(0,))
@@ -302,26 +306,18 @@ def test_density_stack_rejects_one_bad_matrix_with_the_single_message(bad, messa
 def test_density_stack_rows_are_read_only_views_with_their_spectra():
     stack = random_density_stack(np.random.default_rng(41), 5, 4)
     dm = DensityMatrix(entries=stack, sites=(2, 3))
-    assert len(dm) == 5
+    assert len(dm) == 5 and dm.sites == (2, 3)
     assert dm.spectrum().shape == (5, 4)
-    for k, row in enumerate(dm):
-        assert row.entries.shape == (4, 4) and row.sites == (2, 3)
-        assert np.array_equal(row.entries, stack[k])
-        assert np.shares_memory(row.spectrum(), dm.spectrum())
-        assert np.array_equal(row.spectrum(), np.linalg.eigvalsh(stack[k]))
-    assert k == 4  # iteration stops at the end of the stack
-    tail = dm[2:]
-    assert len(tail) == 3 and tail.sites == (2, 3)
-    assert np.array_equal(tail.entries, stack[2:])
-    assert np.array_equal(tail.spectrum(), dm.spectrum()[2:])
-    for array in (dm.entries, dm.spectrum(), dm[1].entries, tail.entries):
+    for k in range(5):
+        assert np.array_equal(dm.entries[k], stack[k])
+        assert np.array_equal(dm.spectrum()[k], np.linalg.eigvalsh(stack[k]))
+    assert np.shares_memory(dm.entries, stack)  # a view, not a copy
+    for array in (dm.entries, dm.spectrum(), dm.entries[1], dm.spectrum()[1]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    single = dm[0]
+    stack[0, 0, 0] += 0.0  # the caller's own array stays writable
     with pytest.raises(TypeError):
-        len(single)
-    with pytest.raises(TypeError):
-        single[0]
+        dm[0]  # the states are rows of ``entries``; the stack is not indexed itself
 
 
 def test_truncation_policy_validation():

@@ -49,7 +49,7 @@ def test_record_only_t0_when_horizon_below_step(para_ground):
     assert record.n_times == 1
     assert record.times[0] == 0.0
     assert len(record.rdms[2]) == 1
-    assert record.rdms[2][0].entries.shape == (4, 4)
+    assert record.rdms[2].entries.shape == (1, 4, 4)
 
 
 def test_recording_grid_and_diagnostics(para_ground):
@@ -95,7 +95,7 @@ def test_decoupled_spins_precess_analytically():
     record = evolve(all_up_state(6), protocol)
     assert max(record.max_bond) == 1
     for k, t in enumerate(record.times):
-        sz = float(np.real(np.trace(record.rdms[1][k].entries @ SZ)))
+        sz = float(np.real(np.trace(record.rdms[1].entries[k] @ SZ)))
         assert sz == pytest.approx(np.cos(2 * t), abs=1e-10)
 
 
@@ -104,8 +104,8 @@ def test_norm_and_energy_drift(para_ground):
     drift = np.max(np.abs(record.energies - record.energies[0])) / abs(record.energies[0])
     assert drift <= 1e-3
     for ell in (1, 2, 3):
-        for dm in record.rdms[ell]:
-            assert abs(np.trace(dm.entries) - 1.0) <= 1e-8
+        for rho in record.rdms[ell].entries:
+            assert abs(np.trace(rho) - 1.0) <= 1e-8
 
 
 def test_matches_dense_oracle(para_ground):
@@ -116,7 +116,7 @@ def test_matches_dense_oracle(para_ground):
         psi = propagator.evolve(reference, float(t))
         for ell in (1, 2, 3):
             ref = ed_rdm(psi, record.rdms[ell].sites)
-            assert np.max(np.abs(ref - record.rdms[ell][k].entries)) <= 1e-4
+            assert np.max(np.abs(ref - record.rdms[ell].entries[k])) <= 1e-4
 
 
 def test_record_stacks_are_validated_once_and_read_only(para_ground):
@@ -129,7 +129,7 @@ def test_record_stacks_are_validated_once_and_read_only(para_ground):
         with pytest.raises(ValueError, match="read-only"):
             stack.entries[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            stack[0].entries[0, 0] = 1.0
+            stack.entries[0][0, 0] = 1.0
 
 
 def test_invalid_block_state_raises_when_the_record_is_made(para_ground, monkeypatch):
@@ -152,8 +152,7 @@ def test_determinism(para_ground):
     b = evolve(para_ground.state, short_protocol(t_max=1.0))
     assert np.array_equal(a.energies, b.energies)
     for ell in (1, 2, 3):
-        for dm_a, dm_b in zip(a.rdms[ell], b.rdms[ell]):
-            assert np.array_equal(dm_a.entries, dm_b.entries)
+        assert np.array_equal(a.rdms[ell].entries, b.rdms[ell].entries)
 
 
 def test_abort_on_saturated_bond_with_large_discards():
@@ -283,8 +282,7 @@ def test_evolve_stacks_gates_and_matches_per_gate_record(monkeypatch):
     for field in ("times", "energies", "cumulative_discarded"):
         assert np.array_equal(getattr(stacked, field), getattr(reference, field))
     for ell in protocol.subsystem_sizes:
-        for mine, theirs in zip(stacked.rdms[ell], reference.rdms[ell], strict=True):
-            assert np.array_equal(mine.entries, theirs.entries)
+        assert np.array_equal(stacked.rdms[ell].entries, reference.rdms[ell].entries)
 
 
 # the NaN block's normalisations divide by NaN norms, twice, on purpose
