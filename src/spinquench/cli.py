@@ -140,9 +140,16 @@ def _sweep_values(raw):
     return values
 
 
+def _text(raw):
+    """A non-empty text; YAML null is not one, a number counts as its text."""
+    if raw is None or str(raw) == "":
+        raise ValueError(f"must be a non-empty text, got {raw!r}")
+    return str(raw)
+
+
 def _name(raw):
     """The name starts every CSV row: no comma, double quote or line break."""
-    if any(char in str(raw) for char in ',"\n\r'):
+    if any(char in _text(raw) for char in ',"\n\r'):
         raise ValueError(f"may not contain a comma, a double quote or a line break, got {raw!r}")
     return str(raw)
 
@@ -178,7 +185,7 @@ class ExperimentConfig:
     measures: tuple = _key("analysis.measures", ["td", "tvd"], _unique_list(_one_of(("td", "tvd"))))
     sweep_axis: str | None = _key("sweep.axis", None, _one_of(SWEEP_AXES), default=None)
     sweep_values: tuple = _key("sweep.values", None, _sweep_values, default=())
-    output_dir: str = _key("output_dir", "out", str, default="out")
+    output_dir: str = _key("output_dir", "out", _text, default="out")
 
     def pre_params(self) -> HamiltonianParams:
         return HamiltonianParams(*self.pre, self.n_sites)
@@ -270,11 +277,8 @@ def _quench_points(config: ExperimentConfig):
     if config.sweep_axis is None:
         return [(config.name, config.post_params())]
     field_name = {"post.J": "coupling", "post.h_x": "h_x", "post.h_z": "h_z"}[config.sweep_axis]
-    points = []
-    for value in config.sweep_values:
-        post = replace(config.post_params(), **{field_name: value})
-        points.append((f"{config.name}:{config.sweep_axis}={_fmt(value)}", post))
-    return points
+    return [(f"{config.name}:{config.sweep_axis}={_fmt(value)}",
+             replace(config.post_params(), **{field_name: value})) for value in config.sweep_values]
 
 
 @dataclass(eq=False)
@@ -295,15 +299,11 @@ def _analyse_record(config: ExperimentConfig, quench_id: str, record: EvolutionR
             curve_degrees = []
             for delta in config.delta_grid:
                 series = distance_series(record, ell, delta, measure)
-                for t, value in zip(series.times, series.values):
-                    result.series_rows.append(
-                        (quench_id, measure, ell, series.delta, float(t), float(value))
-                    )
+                result.series_rows += [(quench_id, measure, ell, series.delta, float(t), float(v))
+                                       for t, v in zip(series.times, series.values)]
                 if len(series) >= 2:
                     deg = degree(series)
-                    result.degree_rows.append(
-                        (quench_id, measure, ell, series.delta, deg, window[0], window[1])
-                    )
+                    result.degree_rows.append((quench_id, measure, ell, series.delta, deg, *window))
                     curve_degrees.append(deg)
                     if len(series) >= 3:
                         rep = extrema_gaps(series.times, series.values, "minima")
@@ -334,10 +334,8 @@ def _run_point(args) -> PointResult:
     start = time.perf_counter()
     record = evolve(gs.state, config.protocol(post))
     _analyse_record(config, quench_id, record, result)
-    drift = 0.0
-    if record.energies[0] != 0:
-        drift = float(np.max(np.abs(record.energies - record.energies[0]))
-                      / abs(record.energies[0]))
+    first = record.energies[0]
+    drift = float(np.max(np.abs(record.energies - first)) / abs(first)) if first != 0 else 0.0
     result.aborted = record.aborted
     result.diagnostics.update(
         {
@@ -371,11 +369,9 @@ def _first_time(times, hits):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return f"{value:.15g}"
-    return str(value)
+    return "" if value is None else str(value)
 
 
 # (file name, header, PointResult attribute holding its rows)
@@ -384,6 +380,20 @@ _CSV_FILES = (
     ("degrees.csv", "quench_id,measure,ell,delta,degree,window_start,window_end", "degree_rows"),
     ("timescales.csv", "quench_id,series_kind,ell,delta,mean_gap,n_extrema", "timescale_rows"),
 )
+
+
+def _output_dir(config: ExperimentConfig, output_dir, stale, make=True) -> Path:
+    """``output_dir``, or else the config's, made if ``make`` and cleared of the files
+    ``stale`` names; a path unusable as a directory is a config error that names it."""
+    out = Path(output_dir if output_dir is not None else config.output_dir)
+    try:
+        if make:
+            out.mkdir(parents=True, exist_ok=True)
+        for name in stale:
+            (out / name).unlink(missing_ok=True)
+    except OSError as err:
+        raise ConfigError([f"output directory '{out}' is not usable: {err.strerror}"]) from None
+    return out
 
 
 def _write_atomically(path: Path, chunks):
@@ -429,11 +439,8 @@ def run_quench_experiment(config: ExperimentConfig, workers: int = 1,
     are written, so a run that fails part-way never leaves an earlier run's
     success or results behind.
     """
-    out = Path(output_dir if output_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config, output_dir, ["manifest.json"] + [name for name, _, _ in _CSV_FILES])
     _write_manifest(out, config, "running")
-    for name, _, _ in _CSV_FILES:
-        (out / name).unlink(missing_ok=True)
     started = time.perf_counter()
     gs = ground_state(build_hamiltonian(config.pre_params()), config.policy(), seed=config.seed)
     ground_state_seconds = time.perf_counter() - started
@@ -469,9 +476,7 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
     exits 3. A failed run leaves no report: the old one goes first, the new
     one is written atomically.
     """
-    out = Path(output_dir if output_dir is not None else config.output_dir)
-    report_path = out / "oracle_report.json"
-    report_path.unlink(missing_ok=True)
+    out = _output_dir(config, output_dir, ["oracle_report.json"], make=False)
     errors = []
     if config.n_sites > ORACLE_MAX_SITES:
         errors.append(f"oracle-check needs system.sites <= {ORACLE_MAX_SITES}, "
@@ -481,7 +486,7 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
                       f"got {len(config.sweep_values)} points on {config.sweep_axis}")
     if errors:
         raise ConfigError(errors)
-    out.mkdir(parents=True, exist_ok=True)
+    _output_dir(config, out, [])
 
     pre, post = config.pre_params(), config.post_params()
     gs = ground_state(build_hamiltonian(pre), config.policy(), seed=config.seed)
@@ -510,12 +515,8 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
                     series_dev = max(series_dev, float(np.max(np.abs(mine - ref))))
 
     energy_dev = abs(gs.energy - ref_energy)
-    passed = (
-        not record.aborted
-        and rdm_dev <= ORACLE_RDM_TOL
-        and series_dev <= ORACLE_SERIES_TOL
-        and energy_dev <= ORACLE_ENERGY_TOL
-    )
+    passed = (not record.aborted and rdm_dev <= ORACLE_RDM_TOL
+              and series_dev <= ORACLE_SERIES_TOL and energy_dev <= ORACLE_ENERGY_TOL)
     report = {
         "software_version": __version__,
         "n_sites": config.n_sites,
@@ -530,7 +531,8 @@ def run_oracle_check(config: ExperimentConfig, output_dir=None) -> int:
         "achieved_t_max": float(record.times[-1]),
         "pass": passed,
     }
-    _write_atomically(report_path, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
+    _write_atomically(out / "oracle_report.json",
+                      [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     for key in ("max_rdm_deviation", "max_series_deviation", "ground_energy_deviation"):
         print(f"{key}: {report[key]:.3e}")
     print("oracle-check:", "PASS" if passed else "FAIL")
@@ -557,16 +559,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a quench experiment from a config file")
-    run_p.add_argument("config", help="path to the YAML config")
+    oracle_p = sub.add_parser("oracle-check",
+                              help="compare the MPS pipeline against the dense reference")
+    for command in (run_p, oracle_p):
+        command.add_argument("config", help="path to the YAML config")
+        command.add_argument("--output", default=None, help="output directory (overrides config)")
     run_p.add_argument("--workers", type=_worker_count, default=1,
                        help="sweep-point worker count (at least 1; at most one per point starts)")
-    run_p.add_argument("--output", default=None, help="output directory (overrides config)")
-
-    oracle_p = sub.add_parser(
-        "oracle-check", help="compare the MPS pipeline against the dense reference"
-    )
-    oracle_p.add_argument("config", help="path to the YAML config")
-    oracle_p.add_argument("--output", default=None, help="output directory (overrides config)")
 
     args = parser.parse_args(argv)
     try:

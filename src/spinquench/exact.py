@@ -1,42 +1,41 @@
 """Dense state-vector reference for small chains.
 
-Exact Hamiltonians, ground states, time evolution and partial traces, used to
-cross-check the MPS pipeline on up to 12 sites, with numpy alone. Basis
-convention: site 0 is the most significant bit of the computational-basis
-index, bit 0 meaning spin up (sz = +1); ``np.kron`` ordering follows the site
-order. In this basis the Hamiltonian is a real symmetric matrix, built
-directly from the bits of the basis index and diagonalised by ``np.linalg.eigh``.
-Evolution and partial traces also work on a stack of states: one propagator
+Exact Hamiltonians, ground states, time evolution and partial traces of plain
+unit-norm amplitude vectors (2^N,), used to cross-check the MPS pipeline on up
+to 12 sites, with numpy alone. Basis convention: site 0 is the most
+significant bit of the computational-basis index, bit 0 meaning spin up (sz =
++1); ``np.kron`` ordering follows the site order. In this basis the
+Hamiltonian is a real symmetric matrix, built directly from the bits of the
+basis index. Its ground state comes from DMRG's Lanczos; only the propagator,
+which needs every eigenpair, diagonalises it by ``np.linalg.eigh``. Evolution
+and partial traces also work on a stack (T, 2^N) of states: one propagator
 product evolves a state to many times, and one stacked product reduces them
 all to a stack of block matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
 
 import numpy as np
 
+from .dmrg import _lanczos
 from .model import HamiltonianParams
+from .mps import _block_sites
 
 MAX_DENSE_SITES = 12
+_LANCZOS_TOL = 1e-13  # relative Ritz residual of the ground state
+_LANCZOS_STEPS = 200  # matvecs at most; 12-site chains took 13 to 92
 
 
-@dataclass(frozen=True, eq=False)
-class DenseState:
-    """Unit-norm amplitude vector over the full 2^N basis, or a stack (T, 2^N) of them."""
-
-    amplitudes: np.ndarray
-    n_sites: int
-
-    def __post_init__(self):
-        if self.amplitudes.ndim not in (1, 2) or self.amplitudes.shape[-1] != 2**self.n_sites:
-            raise ValueError(
-                f"amplitude vector of length {self.amplitudes.shape} does not match "
-                f"{self.n_sites} sites"
-            )
-        if np.any(np.abs(np.linalg.norm(self.amplitudes, axis=-1) - 1.0) > 1e-12):
-            raise ValueError("state is not normalised")
+def _n_sites(psi: np.ndarray) -> int:
+    """N of a unit-norm vector (2^N,) or stack (T, 2^N) of them; refuses anything else."""
+    length = psi.shape[-1] if psi.ndim in (1, 2) else 0
+    if length < 1 or length & (length - 1):
+        raise ValueError(f"amplitudes of shape {psi.shape} are not over a 2^N basis")
+    if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-12):
+        raise ValueError("state is not normalised")
+    return length.bit_length() - 1
 
 
 def ed_hamiltonian(params: HamiltonianParams) -> np.ndarray:
@@ -61,20 +60,23 @@ def ed_hamiltonian(params: HamiltonianParams) -> np.ndarray:
 
 
 def ed_ground_state(params: HamiltonianParams):
-    """Smallest eigenpair, with the first non-negligible amplitude made real positive.
+    """Smallest eigenpair ``(vector, energy)`` by Lanczos, the real vector's first
+    non-negligible amplitude made positive.
 
-    Returns ``(DenseState, energy)``.
+    The start is a fixed Gaussian vector from the stdlib generator, as DMRG's
+    are: a symmetric one such as all-ones is orthogonal to the ground state
+    when h_x < 0 at odd N.
     """
-    evals, evecs = np.linalg.eigh(ed_hamiltonian(params))
-    vec = _fix_phase(evecs[:, 0])
-    vec = vec / np.linalg.norm(vec)
-    return DenseState(amplitudes=vec.astype(complex), n_sites=params.n_sites), float(evals[0])
+    ham = ed_hamiltonian(params)
+    rng = random.Random(0)
+    start = np.array([rng.gauss(0.0, 1.0) for _ in range(len(ham))])
+    energy, vec = _lanczos(ham.__matmul__, start, _LANCZOS_TOL, _LANCZOS_STEPS)
+    return _fix_phase(vec), energy
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(vec) > 1e-8 * np.max(np.abs(vec)))
-    phase = vec[idx] / abs(vec[idx])
-    return vec / phase
+    return vec / (vec[idx] / abs(vec[idx]))
 
 
 class DensePropagator:
@@ -87,41 +89,35 @@ class DensePropagator:
         # transpose; cast them once here, not on every product with a state.
         self._evecs = evecs.astype(complex)
 
-    def evolve(self, state: DenseState, t) -> DenseState:
-        """exp(-i H t)|psi> for one time, or the stack of the states at an array of times.
+    def evolve(self, psi: np.ndarray, t) -> np.ndarray:
+        """exp(-i H t)|psi> for one time, or the stack (T, 2^N) of the states at an array
+        of times, from a unit vector ``psi`` of the chain's 2^N amplitudes.
 
         A stack comes from one matrix product with the eigenvectors.
         """
-        if state.n_sites != self.params.n_sites:
-            raise ValueError("state and Hamiltonian sizes differ")
-        if state.amplitudes.ndim != 1:
-            raise ValueError("only a single state can be evolved")
+        if psi.ndim != 1 or _n_sites(psi) != self.params.n_sites:
+            raise ValueError(f"only a single state of {self.params.n_sites} sites can be "
+                             f"evolved, got amplitudes of shape {psi.shape}")
         t = np.asarray(t, dtype=float)
         if t.ndim > 1 or not np.isfinite(t).all():
             raise ValueError(f"evolution times must be finite scalars or a 1-d array, got {t}")
-        coeffs = self._evecs.T @ state.amplitudes
+        coeffs = self._evecs.T @ psi
         phases = np.exp(-1j * np.multiply.outer(t, self._evals))
         amps = (self._evecs @ (phases * coeffs).T).T
-        amps = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
-        return DenseState(amplitudes=amps, n_sites=state.n_sites)
+        return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
 
 
-def ed_rdm(state: DenseState, sites) -> np.ndarray:
+def ed_rdm(psi: np.ndarray, sites) -> np.ndarray:
     """Exact partial trace of |psi><psi| onto a contiguous block of sites.
 
-    Returns the Hermitian matrix unchecked, as ``MpsState.rdm`` does, and for
-    a stack of states the stack (T, d, d) of matrices.
+    ``psi`` is a unit vector (2^N,) or a stack (T, 2^N) of them; N is read
+    from its last axis. Returns the Hermitian matrix unchecked, as
+    ``MpsState.rdm`` does, and for a stack the stack (T, d, d) of matrices.
     """
-    sites = tuple(sites)
-    if not sites or list(sites) != list(range(sites[0], sites[-1] + 1)):
-        raise ValueError(f"sites {sites} must be a non-empty contiguous range")
-    if sites[0] < 0 or sites[-1] >= state.n_sites:
-        raise ValueError(f"sites {sites} outside chain of {state.n_sites} sites")
-    n_left = sites[0]
-    n_keep = len(sites)
-    n_right = state.n_sites - n_left - n_keep
-    lead = state.amplitudes.shape[:-1]
-    psi = state.amplitudes.reshape(*lead, 2**n_left, 2**n_keep, 2**n_right)
+    n_sites = _n_sites(psi)
+    sites = _block_sites(sites, n_sites)
+    lead, n_keep = psi.shape[:-1], len(sites)
+    psi = psi.reshape(*lead, 2 ** sites[0], 2**n_keep, 2 ** (n_sites - sites[-1] - 1))
     m = psi.swapaxes(-3, -2).reshape(*lead, 2**n_keep, -1)
     rho = m @ m.conj().swapaxes(-1, -2)
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))

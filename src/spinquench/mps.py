@@ -275,14 +275,9 @@ class MpsState:
         a local contraction. It comes back unchecked: ``evolve`` validates a run's
         matrices of one block as one stacked ``DensityMatrix``.
         """
-        sites = tuple(sites)
-        if not sites or list(sites) != list(range(sites[0], sites[-1] + 1)):
-            raise ValueError(f"sites {sites} must be a non-empty contiguous range")
-        if sites[0] < 0 or sites[-1] >= self.n_sites:
-            raise ValueError(f"sites {sites} outside chain of {self.n_sites} sites")
+        sites = _block_sites(sites, self.n_sites)
         if len(sites) > RDM_SITE_CAP:
             raise ValueError(f"block of {len(sites)} sites exceeds the cap of {RDM_SITE_CAP}")
-
         block = self.schmidt_values[sites[0]][:, None, None] * self.tensors[sites[0]]
         for s in range(sites[0] + 1, sites[-1] + 1):
             block = np.tensordot(block, self.tensors[s], axes=(block.ndim - 1, 0))
@@ -306,6 +301,14 @@ class MpsState:
         if abs(total.imag) > 1e-10:
             raise ValueError(f"energy has imaginary part {total.imag}")
         return float(total.real)
+
+
+def _block_sites(sites, n_sites: int) -> tuple:
+    """``sites`` as a tuple, checked to be a non-empty contiguous range of a chain."""
+    sites = tuple(sites)
+    if not sites or sites != tuple(range(max(sites[0], 0), min(sites[-1] + 1, n_sites))):
+        raise ValueError(f"sites {sites} are not a contiguous range of the {n_sites} sites")
+    return sites
 
 
 def _two_site(left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from spinquench.analysis import degree, distance_series
-from spinquench.exact import DenseState
 from spinquench.mps import DensityMatrix, MpsState, product_state
 
 
@@ -49,7 +48,8 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
 
 def to_statevector(state) -> np.ndarray:
     """Dense amplitude vector of an ``MpsState`` or a list of site tensors in any
-    gauge; for small chains only."""
+    gauge; for small chains only. An ``MpsState`` gives a unit vector, which the
+    dense reference takes as it is."""
     tensors = getattr(state, "tensors", state)
     if len(tensors) > 16:
         raise ValueError("refusing to densify more than 16 sites")
@@ -57,12 +57,6 @@ def to_statevector(state) -> np.ndarray:
     for t in tensors[1:]:
         acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
     return acc.reshape(-1)
-
-
-def statevector_from_mps(mps_state) -> DenseState:
-    """Densify an MPS for direct comparison against the dense reference."""
-    vec = to_statevector(mps_state)
-    return DenseState(amplitudes=vec / np.linalg.norm(vec), n_sites=mps_state.n_sites)
 
 
 def degree_curve(record, ell, grid, measure) -> np.ndarray:

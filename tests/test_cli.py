@@ -423,6 +423,42 @@ def test_oversized_block_rejected_at_load(tmp_path, capsys, monkeypatch, sites, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("empty", ["", '""'])
+def test_null_or_empty_name_and_output_dir_are_refused(tmp_path, capsys, monkeypatch, empty):
+    # null once named every CSV row and the output directory "None"; an empty
+    # output_dir wrote into the working directory
+    text = BASE.replace("name: demo", f"name: {empty}\noutput_dir: {empty}")
+    config = write_config(tmp_path, text)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["run", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: 'name' must be a non-empty text" in err
+    assert "config error: 'output_dir' must be a non-empty text" in err
+    assert "Traceback" not in err
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_output_path_through_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command,
+                                                      below):
+    def no_dmrg(*args, **kwargs):
+        raise AssertionError("ground_state ran before the output path was refused")
+
+    monkeypatch.setattr("spinquench.cli.ground_state", no_dmrg)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / below if below else taken
+    assert main([command, str(write_config(tmp_path, BASE)), "--output", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: output directory '{out}' is not usable" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "a file\n"
+
+
 SWEEP = BASE.replace("t_max: 1.0", "t_max: 0.5") + (
     "\nsweep:\n  axis: post.h_z\n  values: [0.3, 0.6]\n"
 )

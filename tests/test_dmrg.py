@@ -133,7 +133,7 @@ def test_ground_state_overlaps_dense_one(n_sites):
     params = HamiltonianParams(0.2, 1.0, 0.0, n_sites)
     result = ground_state(build_hamiltonian(params), seed=3)
     reference, _ = ed_ground_state(params)
-    overlap = abs(np.vdot(reference.amplitudes, to_statevector(result.state)))
+    overlap = abs(np.vdot(reference, to_statevector(result.state)))
     assert overlap >= 1 - 1e-12
 
 

@@ -18,7 +18,7 @@ from spinquench.mps import (
     product_state,
 )
 from spinquench.dmrg import _split_pair
-from spinquench.exact import DenseState, ed_hamiltonian, ed_rdm
+from spinquench.exact import ed_hamiltonian, ed_rdm
 
 from helpers import (
     all_plus_state,
@@ -145,9 +145,8 @@ def test_states_in_any_gauge_read_and_gate_like_the_dense_reference():
         assert state.energy(build_hamiltonian(params)) == pytest.approx(
             np.vdot(psi, ed_hamiltonian(params) @ psi).real, abs=1e-12
         )
-        dense = DenseState(amplitudes=psi, n_sites=n)
         for sites in [(0,), (3, 4), (5, 6, 7)]:
-            assert np.max(np.abs(state.rdm(sites) - ed_rdm(dense, sites))) <= 1e-12
+            assert np.max(np.abs(state.rdm(sites) - ed_rdm(psi, sites))) <= 1e-12
         gates = np.array([random_gate(rng) for _ in bonds])
         state.apply_gate_layer(bonds, gates, TruncationPolicy(cutoff=0.0, chi_max=4096))
         assert np.max(np.abs(to_statevector(state) - functools.reduce(np.kron, gates) @ psi)) <= 1e-12
@@ -229,7 +228,7 @@ def test_rdm_ghz_two_sites():
 def test_rdm_matches_dense_partial_trace():
     rng = np.random.default_rng(12)
     state = random_state(10, 8, rng)
-    dense = DenseState(amplitudes=to_statevector(state), n_sites=10)
+    dense = to_statevector(state)
     for sites in [(3, 4, 5), (0, 1), (7, 8, 9), (4,)]:
         ref = ed_rdm(dense, sites)
         assert np.max(np.abs(state.rdm(sites) - ref)) <= 1e-6
@@ -384,12 +383,11 @@ def test_schmidt_form_read_path_matches_dense_reference():
     assert state.energy(build_hamiltonian(params)) == pytest.approx(
         np.vdot(psi, ed_hamiltonian(params) @ psi).real, abs=1e-12
     )
-    dense = DenseState(amplitudes=psi, n_sites=n)
     for sites in [(0,), (4, 5), (2, 3, 4), (6, 7, 8, 9)]:
         mine = state.rdm(sites)
-        assert np.max(np.abs(mine - ed_rdm(dense, sites))) <= 1e-12
+        assert np.max(np.abs(mine - ed_rdm(psi, sites))) <= 1e-12
     assert local_expectation(state, SX, 3) == pytest.approx(
-        np.trace(ed_rdm(dense, (3,)) @ SX).real, abs=1e-12
+        np.trace(ed_rdm(psi, (3,)) @ SX).real, abs=1e-12
     )
     # the read path re-gauged nothing
     assert all(np.array_equal(old, new) for old, new in zip(before, state.tensors))

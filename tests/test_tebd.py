@@ -9,7 +9,7 @@ from spinquench.dmrg import ground_state
 from spinquench.tebd import EvolutionRecord, QuenchProtocol, centered_block, evolve, grid_offset
 from spinquench.exact import DensePropagator, ed_rdm
 
-from helpers import all_plus_state, all_up_state, statevector_from_mps
+from helpers import all_plus_state, all_up_state, to_statevector
 
 PARA = HamiltonianParams(0.2, 1.0, 0.0, 10)
 FERRO = HamiltonianParams(1.0, 0.1, 0.5, 10)
@@ -110,7 +110,7 @@ def test_norm_and_energy_drift(para_ground):
 
 def test_matches_dense_oracle(para_ground):
     record = evolve(para_ground.state, short_protocol(t_max=2.0))
-    reference = statevector_from_mps(para_ground.state)
+    reference = to_statevector(para_ground.state)
     propagator = DensePropagator(FERRO)
     for k, t in enumerate(record.times):
         psi = propagator.evolve(reference, float(t))
