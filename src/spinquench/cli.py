@@ -356,6 +356,7 @@ def _run_point(args) -> PointResult:
             "achieved_t_max": float(record.times[-1]),
             "aborted": record.aborted,
             "abort_reason": record.abort_reason,
+            "evolution_path": record.evolution_path,
             "wall_seconds": time.perf_counter() - start,
         }
     )

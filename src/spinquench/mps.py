@@ -19,6 +19,16 @@ saved.
 A split discards the smallest singular values within the truncation budget,
 then renormalises. A decomposition that LAPACK fails on is redone (see
 ``_svd``); a block holding NaN splits into NaN.
+
+A mirror-symmetric state of an even chain can be held by its right half
+alone (``mirror_half``): psi = sum_k lambda_k mirror(R_k) (x) R_k, where R_k
+are the right half's Schmidt vectors and mirror reverses the site order. Its
+gates on the right half's bonds are the ones above; the middle bond's gated
+block is complex symmetric and is re-split by a Takagi factorisation
+(``_takagi``), so the form is kept and no Schmidt value is inverted. Read-outs
+across the middle contract the mirrored tensors. ``tebd.evolve`` takes this
+path for an even chain whose Hamiltonian and start state are both
+mirror-symmetric.
 """
 
 from __future__ import annotations
@@ -37,6 +47,11 @@ _EIG_FLOOR = -1e-10
 # smallest group of same-shape bonds that a gate layer stacks: at 8x8 pairs,
 # two lone gates still cost less than one stack of two
 _MIN_STACK = 3
+# largest squared distance between a start state and its mirror-symmetrised
+# form that ``mirror_half`` takes: one cut's budget at the default cutoff. DMRG
+# ground states of the configs read 1e-16 to 5e-13 (the truncation of a
+# critical state at N = 60)
+_MIRROR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,7 +126,15 @@ class MpsState:
     every tensor is a right isometry. The constructor gives the tensors one
     dtype: float64 when all are real, else complex128. A ground state of a
     real chain stays real; the first gate makes the tensors it writes complex.
+
+    A ``mirrored`` state (made by ``mirror_half``) stands for a mirror-symmetric
+    chain of ``n_sites`` = 2 h sites and holds only its right half: ``tensors``
+    are sites h .. 2h-1, and ``schmidt_values[0]`` the middle cut's values. Its
+    gates number the tensors it holds; ``rdm``, ``energy`` and ``bond_dims``
+    number the sites and bonds of the whole chain.
     """
+
+    mirrored = False
 
     def __init__(self, tensors):
         """Check ``tensors``, in any gauge, and bring them to the Schmidt form, normalised."""
@@ -132,18 +155,57 @@ class MpsState:
 
     @property
     def n_sites(self) -> int:
-        return len(self.tensors)
+        return 2 * len(self.tensors) if self.mirrored else len(self.tensors)
 
     @property
     def bond_dims(self):
-        return [t.shape[2] for t in self.tensors[:-1]]
+        dims = [t.shape[2] for t in self.tensors[:-1]]
+        return [*dims[::-1], self.tensors[0].shape[0], *dims] if self.mirrored else dims
 
     def copy(self) -> "MpsState":
         """A twin with its own tensors and the same Schmidt values; nothing is swept."""
         twin = object.__new__(MpsState)
         twin.tensors = [t.copy() for t in self.tensors]
         twin.schmidt_values = list(self.schmidt_values)
+        twin.mirrored = self.mirrored
         return twin
+
+    def mirror_half(self) -> "MpsState | None":
+        """The right half of this state as a ``mirrored`` state, or None.
+
+        None when the chain is odd or the state is not mirror-symmetric; a
+        ``mirrored`` state gives a copy of itself. The test reads the overlaps
+        C[k, k'] = <mirror(R_k) | L_k'> of the mirrored right Schmidt vectors
+        R_k with the left half's weighted Schmidt vectors L_k', contracted
+        pairwise from both ends in. For a mirror-symmetric state C is complex
+        symmetric and holds the whole norm; the state is taken when the
+        squared distance to its symmetrised form, 1 - |C|^2 + |(C - C^T)/2|^2,
+        is at most ``_MIRROR_TOL``. Then the Takagi factors of
+        (C + C^T)/2 = U diag(s) U^T fold into the middle tensor (U^T B), and s,
+        renormalised, become the middle Schmidt values.
+        """
+        if self.mirrored:
+            return self.copy()
+        n = self.n_sites
+        if n % 2:
+            return None
+        half = n // 2
+        env = np.ones((1, 1))
+        for j in range(half):
+            env = np.tensordot(env, self.tensors[j], axes=(0, 0))
+            env = np.tensordot(env, self.tensors[n - 1 - j].conj(), axes=([0, 1], [2, 1]))
+        overlap = env.T
+        skew = 0.5 * (overlap - overlap.T)
+        defect = 1.0 - np.vdot(overlap, overlap).real + np.vdot(skew, skew).real
+        if not defect <= _MIRROR_TOL:
+            return None
+        u, s = _takagi(overlap - skew)
+        mirrored = object.__new__(MpsState)
+        mirrored.mirrored = True
+        mirrored.tensors = [np.tensordot(u.T, self.tensors[half], axes=(1, 0)),
+                            *(t.copy() for t in self.tensors[half + 1:])]
+        mirrored.schmidt_values = [s / np.linalg.norm(s), *self.schmidt_values[half + 1:]]
+        return mirrored
 
     def canonicalize(self) -> "MpsState":
         """Bring the tensors to the Schmidt form and normalise them.
@@ -184,7 +246,7 @@ class MpsState:
         """
         schmidt = self.schmidt_values
         i = left_site
-        if not 0 <= i < self.n_sites - 1:
+        if not 0 <= i < len(self.tensors) - 1:
             raise ValueError(f"gate site {i} out of range")
         phi = gate @ _two_site(self.tensors[i], self.tensors[i + 1])  # (l, 4, r)
         dl, _, dr = phi.shape
@@ -211,7 +273,7 @@ class MpsState:
         the order of ``bonds``) are bit for bit those of
         ``apply_two_site_gate`` applied to each bond in turn.
         """
-        n_bonds, last = self.n_sites - 1, -2
+        n_bonds, last = len(self.tensors) - 1, -2
         for i in sorted(bonds):
             if i - last < 2 or i >= n_bonds:
                 raise ValueError(f"gate bonds {tuple(bonds)} must be in range and two apart")
@@ -233,6 +295,31 @@ class MpsState:
         for weight in discarded:
             total += weight
         return total
+
+    def apply_middle_gate(self, gate, policy) -> float:
+        """Apply a swap-symmetric 4x4 gate to the middle bond of a ``mirrored`` state.
+
+        The pair block Theta[(s, a), (t, b)] = sum_k B[k, s, a] lambda_k
+        B[k, t, b] is built from the first tensor alone; gated, it stays
+        complex symmetric, and its Takagi factors M = U diag(s) U^T re-split
+        it: U^T is the new first tensor (a right isometry) and s, cut by
+        ``_truncation_rank``, the middle Schmidt values. Returns the discarded
+        weight of this one cut; the state is renormalised afterwards.
+        """
+        if not self.mirrored:
+            raise ValueError("the middle-bond gate needs a mirrored state")
+        first, lam = self.tensors[0], self.schmidt_values[0]
+        dr = first.shape[2]
+        pair = first.reshape(len(lam), 2 * dr)
+        theta = (pair.T @ (lam[:, None] * pair)).reshape(2, dr, 2, dr).transpose(0, 2, 1, 3)
+        block = (gate @ theta.reshape(4, dr * dr)).reshape(2, 2, dr, dr)
+        block = block.transpose(0, 2, 1, 3).reshape(2 * dr, 2 * dr)
+        u, s = _takagi(0.5 * (block + block.T))
+        keep, discarded = _truncation_rank(s, policy)
+        s = s[:keep]
+        self.tensors[0] = u[:, :keep].T.reshape(keep, 2, dr)
+        self.schmidt_values[0] = s / np.linalg.norm(s)
+        return discarded
 
     def _apply_gate_stack(self, sites, gates, policy) -> np.ndarray:
         """``apply_two_site_gate`` on bonds whose pairs share one shape, stacked.
@@ -278,24 +365,52 @@ class MpsState:
         sites = _block_sites(sites, self.n_sites)
         if len(sites) > RDM_SITE_CAP:
             raise ValueError(f"block of {len(sites)} sites exceeds the cap of {RDM_SITE_CAP}")
-        block = self.schmidt_values[sites[0]][:, None, None] * self.tensors[sites[0]]
-        for s in range(sites[0] + 1, sites[-1] + 1):
-            block = np.tensordot(block, self.tensors[s], axes=(block.ndim - 1, 0))
-        # rows: the block's physical index; columns: both bond indices
+        first, last, n_left = sites[0], sites[-1], 0
+        if self.mirrored:
+            # site g of the chain is tensor g - h, or left of the middle the
+            # mirror of tensor h - 1 - g, whose sites read in reverse order
+            half = len(self.tensors)
+            n_left = min(max(half - first, 0), len(sites))
+            first, last = first - half, last - half
+            if last < 0:  # wholly left of the middle: the mirror block
+                first, last = -1 - last, -1 - first
         dim = 2 ** len(sites)
-        m = block.reshape(block.shape[0], dim, -1).transpose(1, 0, 2).reshape(dim, -1)
+        if first < 0:  # across the middle: mirrored left tensors, lambda, right tensors
+            left = _contract(self.tensors[:n_left])
+            right = _contract(self.tensors[:last + 1], self.schmidt_values[0])
+            m = np.tensordot(left, right, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(dim, -1)
+        else:
+            block = _contract(self.tensors[first:last + 1], self.schmidt_values[first])
+            # rows: the block's physical index; columns: both bond indices
+            m = block.transpose(1, 0, 2).reshape(dim, -1)
+        if n_left > 1:
+            flip = [*range(n_left - 1, -1, -1), *range(n_left, len(sites) + 1)]
+            m = m.reshape((2,) * len(sites) + (-1,)).transpose(flip).reshape(dim, -1)
         rho = m @ m.conj().T
         return 0.5 * (rho + rho.conj().T)
 
     def energy(self, hspec: HamiltonianSpec) -> float:
-        """Sum of bond-term expectations, one local contraction per bond."""
+        """Sum of bond-term expectations, one local contraction per bond.
+
+        A ``mirrored`` state reads each right-half bond once for its own term
+        and its mirror bond's, swapped, and the middle bond from its first
+        tensor alone; for a mirror-symmetric chain that is twice the right
+        half's bond energies plus the middle bond's.
+        """
         if hspec.n_sites != self.n_sites:
             raise ValueError(
                 f"Hamiltonian has {hspec.n_sites} sites, state has {self.n_sites}"
             )
-        schmidt = self.schmidt_values
+        schmidt, terms = self.schmidt_values, hspec.bond_terms
         total = 0.0 + 0.0j
-        for b, term in enumerate(hspec.bond_terms):
+        if self.mirrored:
+            half = len(self.tensors)
+            first = self.tensors[0]
+            theta = np.tensordot(first, schmidt[0][:, None, None] * first, axes=(0, 0))
+            theta = theta.transpose(1, 0, 2, 3).reshape(first.shape[2], 4, first.shape[2])
+            total += np.vdot(theta, terms[half - 1] @ theta)
+            terms = [terms[half + j] + _swapped(terms[half - 2 - j]) for j in range(half - 1)]
+        for b, term in enumerate(terms):
             theta = _two_site(schmidt[b][:, None, None] * self.tensors[b], self.tensors[b + 1])
             total += np.vdot(theta, term @ theta)
         if abs(total.imag) > 1e-10:
@@ -309,6 +424,24 @@ def _block_sites(sites, n_sites: int) -> tuple:
     if not sites or sites != tuple(range(max(sites[0], 0), min(sites[-1] + 1, n_sites))):
         raise ValueError(f"sites {sites} are not a contiguous range of the {n_sites} sites")
     return sites
+
+
+def _contract(tensors, weights=None) -> np.ndarray:
+    """A run of site tensors contracted into legs (l, 2**len, r), its left bond
+    scaled by ``weights`` when given."""
+    block = tensors[0] if weights is None else weights[:, None, None] * tensors[0]
+    for t in tensors[1:]:
+        block = np.tensordot(block, t, axes=(block.ndim - 1, 0))
+    return block.reshape(block.shape[0], -1, block.shape[-1])
+
+
+# the basis order of a pair with its two sites swapped
+_SWAP = [0, 2, 1, 3]
+
+
+def _swapped(term: np.ndarray) -> np.ndarray:
+    """A 4x4 two-site operator with its sites exchanged."""
+    return term[_SWAP][:, _SWAP]
 
 
 def _two_site(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -350,6 +483,25 @@ def _truncation_rank(singular_values, policy: TruncationPolicy):
     # a zero past the last column: a row that keeps every value drops nothing
     tail = np.concatenate((tail, np.zeros((len(tail), 1))), axis=1)
     return keep, tail[np.arange(len(keep)), keep]
+
+
+def _takagi(m: np.ndarray):
+    """Takagi factors ``(u, s)`` of a complex symmetric n x n matrix: m = u diag(s) u^T.
+
+    One real ``eigh`` of [[Re m, Im m], [Im m, -Re m]], whose spectrum is
+    +-s: the eigenvectors (x; y) of its n largest eigenvalues give the
+    columns x + iy of u, degenerate values included (Horn and Johnson, Matrix
+    Analysis, 2nd ed. (2013), section 4.4). ``s`` is descending, and ``u`` is
+    unitary where s > 0. A matrix holding NaN or inf gives NaN, for the
+    caller's finiteness checks.
+    """
+    n = len(m)
+    if not np.isfinite(m).all():
+        return np.full((n, n), np.nan + 0j), np.full(n, np.nan)
+    re, im = m.real, m.imag
+    w, v = np.linalg.eigh(np.block([[re, im], [im, -re]]))
+    w, v = w[n:][::-1], v[:, n:][:, ::-1]
+    return v[:n] + 1j * v[n:], np.maximum(w, 0.0)
 
 
 def _svd(theta: np.ndarray):

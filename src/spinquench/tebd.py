@@ -13,6 +13,14 @@ bonds that share a shape.
 A snapshot keeps each block's Hermitian matrix unchecked; when the run ends,
 each block size's matrices become one stacked ``DensityMatrix``, validated by
 one batched check and eigensolve.
+
+When N is even, the post-quench Hamiltonian is mirror-symmetric (bond b is
+bond N-2-b with its sites swapped) and so is the start state
+(``MpsState.mirror_half``), every layer is its own mirror image, and the run
+evolves the right half alone: its bonds through ``apply_gate_layer``, with
+each discard counted twice for the mirror bond, and the middle bond through
+``apply_middle_gate``. Odd chains, asymmetric Hamiltonians and asymmetric start
+states take the full path. ``EvolutionRecord.evolution_path`` says which ran.
 """
 
 from __future__ import annotations
@@ -23,11 +31,14 @@ import math
 import numpy as np
 
 from .model import HamiltonianParams, build_hamiltonian, build_trotter_gates
-from .mps import RDM_SITE_CAP, DensityMatrix, MpsState, TruncationPolicy
+from .mps import RDM_SITE_CAP, DensityMatrix, MpsState, TruncationPolicy, _swapped
 
 _GRID_SLACK = 1e-9
 _STALL_STEPS = 10
 _STALL_FACTOR = 100.0
+# largest entry by which a bond term may differ from its mirror bond's, swapped,
+# in a Hamiltonian that the half path takes: the rounding of the field sums
+_MIRROR_TERM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,8 @@ class EvolutionRecord:
     ``times[k]``; ``energies``, ``max_bond`` and ``cumulative_discarded`` are
     parallel to ``times``. Each ``rdms[ell]`` is one stacked ``DensityMatrix``
     with entries (n_times, d, d), and its ``sites`` name the block.
+    ``evolution_path`` is ``"mirror-half"`` when the run evolved the right
+    half of a mirror-symmetric chain, else ``"full"``.
     """
 
     times: np.ndarray
@@ -75,6 +88,7 @@ class EvolutionRecord:
     cumulative_discarded: np.ndarray
     aborted: bool = False
     abort_reason: str | None = None
+    evolution_path: str = "full"
 
     def __post_init__(self):
         if len(self.times) == 0 or abs(self.times[0]) > 1e-15:
@@ -130,7 +144,13 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     policy = protocol.policy
     blocks = {ell: centered_block(n, ell) for ell in protocol.subsystem_sizes}
 
-    state = initial.copy()
+    state = initial.mirror_half() if _mirror_symmetric(hspec) else None
+    if state is None:
+        state, path, copies = initial.copy(), "full", 1
+        layers = [(bonds, gates, None) for bonds, gates in layers]
+    else:  # each right-half bond stands for itself and its mirror bond
+        path, copies = "mirror-half", 2
+        layers = [_right_half(bonds, gates, n // 2) for bonds, gates in layers]
 
     n_steps = math.ceil(protocol.t_max / protocol.tau - _GRID_SLACK)
     times, energies, max_bonds, cum_discarded = [], [], [], []
@@ -159,8 +179,10 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
 
     for step in range(1, n_steps + 1):
         step_discarded = 0.0
-        for bonds, gates in layers:
-            step_discarded += state.apply_gate_layer(bonds, gates, policy)
+        for bonds, gates, middle in layers:
+            step_discarded += copies * state.apply_gate_layer(bonds, gates, policy)
+            if middle is not None:
+                step_discarded += state.apply_middle_gate(middle, policy)
         total_discarded += step_discarded
 
         if max(state.bond_dims) >= policy.chi_max and step_discarded > _STALL_FACTOR * policy.cutoff:
@@ -190,4 +212,20 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
         cumulative_discarded=np.array(cum_discarded),
         aborted=aborted,
         abort_reason=abort_reason,
+        evolution_path=path,
     )
+
+
+def _mirror_symmetric(hspec) -> bool:
+    """Whether every bond term equals its mirror bond's with the sites swapped."""
+    terms = hspec.bond_terms
+    return all(np.max(np.abs(term - _swapped(mirror))) <= _MIRROR_TERM_TOL
+               for term, mirror in zip(terms, terms[::-1]))
+
+
+def _right_half(bonds, gates, half: int):
+    """A layer's right-half bonds, numbered from the half's first site, their
+    gates, and the middle bond's gate or None."""
+    right = [k for k, b in enumerate(bonds) if b >= half]
+    middle = next((gates[k] for k, b in enumerate(bonds) if b == half - 1), None)
+    return tuple(bonds[k] - half for k in right), gates[right], middle

@@ -738,3 +738,13 @@ def test_manifest_gives_dmrg_discarded_weight(tmp_path, text, name, discarded):
         assert weight == 0.0
     else:  # chi_max 2 binds DMRG's own splits
         assert weight > 0.0
+
+
+@pytest.mark.parametrize("sites, path", ((6, "mirror-half"), (7, "full")))
+def test_manifest_names_the_evolution_path(tmp_path, sites, path):
+    # an even chain with a mirror-symmetric start state evolves its right half
+    config = load_config(write_config(tmp_path, BASE.replace("sites: 6", f"sites: {sites}")))
+    out = tmp_path / "out"
+    assert run_quench_experiment(config, output_dir=out) == EXIT_OK
+    run = json.loads((out / "manifest.json").read_text())["runs"]["demo"]
+    assert run["evolution_path"] == path

@@ -10,6 +10,7 @@ from spinquench.dmrg import _contract_left, _contract_right, _lanczos, _solve_bl
 from spinquench.exact import ed_ground_state, ed_hamiltonian
 from spinquench.mps import TruncationPolicy
 
+from free_fermions import ground_energy as free_fermion_energy
 from helpers import local_expectation, to_statevector
 
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -96,19 +97,6 @@ def test_matches_dense_diagonalisation(n_sites):
     result = ground_state(build_hamiltonian(params), seed=3)
     _, reference = ed_ground_state(params)
     assert abs(result.energy - reference) <= 1e-8
-
-
-def free_fermion_energy(coupling, h_x, n_sites):
-    """Exact ground energy of the open chain at h_z = 0 from its Majorana matrix.
-
-    Jordan-Wigner maps sx_j to i a_2j a_2j+1 and sz_j sz_j+1 to i a_2j+1 a_2j+2,
-    so H = (i/2) a^T M a with M real antisymmetric; the ground energy is
-    -1/2 sum |eps| over the eigenvalues eps of i M (signs gauge away).
-    """
-    m = np.zeros((2 * n_sites, 2 * n_sites))
-    m[np.arange(0, 2 * n_sites, 2), np.arange(1, 2 * n_sites, 2)] = -h_x
-    m[np.arange(1, 2 * n_sites - 2, 2), np.arange(2, 2 * n_sites - 1, 2)] = -coupling
-    return -0.5 * np.sum(np.abs(np.linalg.eigvalsh(1j * (m - m.T))))
 
 
 @pytest.mark.parametrize("coupling, h_x", ((0.2, 1.0), (1.0, 1.0), (0.7, 0.3)))

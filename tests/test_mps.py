@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spinquench.model import SX, SZ, HamiltonianParams, build_hamiltonian
+from spinquench.model import SX, SZ, HamiltonianParams, HamiltonianSpec, build_hamiltonian
 from spinquench.mps import (
     TRUNCATION_MARGIN,
     DensityMatrix,
@@ -14,6 +14,7 @@ from spinquench.mps import (
     TruncationPolicy,
     _schmidt_split,
     _svd,
+    _takagi,
     _truncation_rank,
     product_state,
 )
@@ -673,3 +674,132 @@ def test_gate_layer_with_gram_splits_matches_gates_one_by_one(monkeypatch):
     # stacked and lone blocks of 8 or more columns took the Gram path
     assert gram_ranks == {2, 3}
     assert max(layered.bond_dims) == 24
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("values", (
+    "random",
+    (3.0, 3.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.5),  # degenerate
+    (1.0, 1.0, 1.0, 1.0),  # one value
+))
+def test_takagi_rebuilds_symmetric_matrices(values):
+    rng = np.random.default_rng(41)
+    if values == "random":
+        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        m = m + m.T
+    else:
+        u = random_unitary(rng, len(values))
+        m = (u * np.array(values)) @ u.T
+    u, s = _takagi(m)
+    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+    assert np.max(np.abs((u * s) @ u.T - m)) <= 1e-13
+    assert np.max(np.abs(u.conj().T @ u - np.eye(len(m)))) <= 1e-13
+    if values != "random":
+        assert s == pytest.approx(sorted(values, reverse=True), abs=1e-13)
+
+
+def test_takagi_of_a_non_finite_matrix_is_nan():
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = m[2, 1] = np.nan
+    u, s = _takagi(m)
+    assert np.isnan(u).all() and np.isnan(s).all()
+
+
+def mirrored_dense(amps, n_sites):
+    """A dense state with its site order reversed."""
+    return amps.reshape((2,) * n_sites).transpose(range(n_sites - 1, -1, -1)).reshape(-1)
+
+
+def symmetric_state(rng, n_sites):
+    """A random mirror-symmetric state of full bond dimension, and its dense vector."""
+    amps = rng.normal(size=2**n_sites) + 1j * rng.normal(size=2**n_sites)
+    amps = amps + mirrored_dense(amps, n_sites)
+    amps /= np.linalg.norm(amps)
+    return mps_from_dense(amps, n_sites), amps
+
+
+def swap_symmetric_gate(rng, strength=0.8):
+    herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    herm = herm + herm.conj().T
+    herm = herm + SWAP @ herm @ SWAP
+    evals, evecs = np.linalg.eigh(herm)
+    return (evecs * np.exp(-1j * strength * evals)) @ evecs.conj().T
+
+
+def assert_reads_like(half, full, tol):
+    """Every block of up to four sites, the bond dimensions and the energy of a
+    random Hamiltonian with no mirror symmetry read alike on both states."""
+    n = full.n_sites
+    assert half.n_sites == n and half.bond_dims == full.bond_dims
+    for ell in range(1, 5):
+        for first in range(n - ell + 1):
+            sites = tuple(range(first, first + ell))
+            assert np.max(np.abs(half.rdm(sites) - full.rdm(sites))) <= tol
+    rng = np.random.default_rng(43)
+    terms = []
+    for _ in range(n - 1):
+        herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        terms.append(herm + herm.conj().T)
+    spec = HamiltonianSpec(HamiltonianParams(1.0, 1.0, 0.0, n), tuple(terms))
+    assert half.energy(spec) == pytest.approx(full.energy(spec), abs=tol)
+
+
+@pytest.mark.parametrize("n_sites", (2, 4, 8))
+def test_mirror_half_reads_like_the_whole_state(n_sites):
+    full, _ = symmetric_state(np.random.default_rng(45), n_sites)
+    half = full.mirror_half()
+    assert half.mirrored and len(half.tensors) == n_sites // 2
+    assert_reads_like(half, full, 1e-12)
+    for t in half.tensors:  # right isometries
+        mat = t.reshape(t.shape[0], -1)
+        assert np.max(np.abs(mat @ mat.conj().T - np.eye(t.shape[0]))) <= 1e-12
+    assert half.copy().mirrored and half.mirror_half().mirrored
+
+
+def test_mirror_half_refuses_odd_and_asymmetric_states():
+    rng = np.random.default_rng(47)
+    assert random_state(8, 16, rng).mirror_half() is None
+    assert symmetric_state(rng, 8)[0].copy().mirror_half() is not None
+    odd = mps_from_dense(mirrored_dense(ghz_state(7), 7), 7)
+    assert odd.mirror_half() is None
+    # the symmetric-looking |up, down>: C = 0 holds none of the state's weight
+    assert product_state([UP, DOWN]).mirror_half() is None
+    assert product_state([UP, UP]).mirror_half() is not None
+
+
+def test_mirrored_gates_match_the_whole_chain():
+    rng = np.random.default_rng(49)
+    n = 8
+    full, dense = symmetric_state(rng, n)
+    half = full.mirror_half()
+    policy = TruncationPolicy(cutoff=0.0, chi_max=4096)
+    for _ in range(2):
+        gate = swap_symmetric_gate(rng)
+        assert half.apply_middle_gate(gate, policy) == 0.0
+        assert full.apply_two_site_gate(gate, n // 2 - 1, policy) == 0.0
+        # a right-half bond and its mirror bond, the gate with its sites swapped
+        gate = random_gate(rng, strength=0.8)
+        assert half.apply_gate_layer((1,), gate[None], policy) == 0.0
+        assert full.apply_gate_layer((1, n // 2 + 1), np.stack([SWAP @ gate @ SWAP, gate]),
+                                     policy) == 0.0
+    assert_reads_like(half, full, 1e-12)
+    with pytest.raises(ValueError, match="mirrored"):
+        full.apply_middle_gate(gate, policy)
+
+
+def test_middle_gate_truncates_by_the_rank_rule():
+    rng = np.random.default_rng(51)
+    full, _ = symmetric_state(rng, 8)
+    half = full.mirror_half()
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=5)
+    gate = swap_symmetric_gate(rng)
+    weight = half.apply_middle_gate(gate, policy)
+    reference = full.apply_two_site_gate(gate, 3, policy)
+    assert weight == pytest.approx(reference, rel=1e-10) and weight > 0
+    assert half.bond_dims[3] == full.bond_dims[3] == 5
+    assert np.sum(half.schmidt_values[0] ** 2) == pytest.approx(1.0, abs=1e-14)
+    assert half.schmidt_values[0] == pytest.approx(full.schmidt_values[4], abs=1e-12)

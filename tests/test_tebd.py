@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from spinquench.model import SZ, HamiltonianParams, build_hamiltonian
+from spinquench.model import (
+    SZ, HamiltonianParams, HamiltonianSpec, build_hamiltonian, build_trotter_gates,
+)
 from spinquench.mps import MpsState, TruncationPolicy
 from spinquench.dmrg import ground_state
 from spinquench.tebd import EvolutionRecord, QuenchProtocol, centered_block, evolve, grid_offset
 from spinquench.exact import DensePropagator, ed_rdm
 
-from helpers import all_plus_state, all_up_state, to_statevector
+from helpers import all_plus_state, all_up_state, random_state, to_statevector
 
 PARA = HamiltonianParams(0.2, 1.0, 0.0, 10)
 FERRO = HamiltonianParams(1.0, 0.1, 0.5, 10)
@@ -275,7 +277,10 @@ def test_evolve_stacks_gates_and_matches_per_gate_record(monkeypatch):
     reference = evolve(all_plus_state(n), protocol)
     gates_applied = len(calls)
 
-    assert gates_applied == 50 * (10 + 9 + 10)
+    # the product state is mirror-symmetric: the right half's bonds 10..18 go
+    # through the layers, the middle bond 9 through its own split
+    assert stacked.evolution_path == "mirror-half"
+    assert gates_applied == 50 * (5 + 4 + 5)
     assert stacked_calls < gates_applied
     assert max(stacked.max_bond) > 1
     assert stacked.max_bond == reference.max_bond
@@ -310,3 +315,105 @@ def test_non_finite_state_ends_in_a_flagged_record(monkeypatch):
     assert record.abort_reason == "non-finite values during evolution"
     assert list(record.times) == pytest.approx([0.0, 0.1])
     assert len(layers_applied) == 3 * 20  # it ran on to the next snapshot
+
+
+def ground_and_protocol(n_sites, t_max, seed=3):
+    gs = ground_state(build_hamiltonian(HamiltonianParams(0.2, 1.0, 0.0, n_sites)), seed=seed)
+    sizes = tuple(ell for ell in (1, 2, 3, 4) if ell <= n_sites)
+    return gs.state, short_protocol(post=HamiltonianParams(1.0, 0.1, 0.5, n_sites),
+                                    t_max=t_max, subsystem_sizes=sizes)
+
+
+def block_deviation(record, reference):
+    return max(np.max(np.abs(record.rdms[ell].entries - reference.rdms[ell].entries))
+               for ell in record.rdms)
+
+
+# measured: 6.3e-10 (N = 8) and 6.9e-11 (N = 10) at t <= 5, 4.1e-12 (N = 60) at
+# t <= 1.5; at most 8.3e-10 on any quench tried (para->critical, N = 16), and
+# 5.0e-11 on para->ferro at N = 60 to t = 20. The small-chain bound adds 20% to
+# 8.3e-10, the N = 60 one 140% to 4.1e-12
+@pytest.mark.parametrize("n_sites, t_max, seed, bound", (
+    (8, 5.0, 3, 1e-9), (10, 5.0, 3, 1e-9), (60, 1.5, 0, 1e-11),
+))
+def test_half_path_matches_full_path(n_sites, t_max, seed, bound, monkeypatch):
+    state, protocol = ground_and_protocol(n_sites, t_max, seed)
+    half = evolve(state, protocol)
+    monkeypatch.setattr(MpsState, "mirror_half", lambda self: None)
+    full = evolve(state, protocol)
+    assert (half.evolution_path, full.evolution_path) == ("mirror-half", "full")
+    assert block_deviation(half, full) <= bound
+    assert np.max(np.abs(half.energies - full.energies)) <= 1e-9
+    assert half.max_bond == full.max_bond
+    # right-half discards count twice: the totals agree to a few parts in 1e4
+    assert half.cumulative_discarded[-1] == pytest.approx(full.cumulative_discarded[-1], rel=1e-3)
+
+
+# against dense at t <= 5 both paths deviate alike: 2.8e-13 (N = 2, the middle
+# bond alone), 4.0e-6 (N = 8) and 7.8e-6 (N = 10, ell = 4); the bounds add 25-80%
+@pytest.mark.parametrize("n_sites, bound", ((2, 5e-13), (8, 5e-6), (10, 1e-5)))
+def test_half_path_matches_dense_reference(n_sites, bound):
+    state, protocol = ground_and_protocol(n_sites, 5.0)
+    record = evolve(state, protocol)
+    assert record.evolution_path == "mirror-half"
+    reference = to_statevector(state)
+    propagator = DensePropagator(protocol.post)
+    for k, t in enumerate(record.times):
+        psi = propagator.evolve(reference, float(t))
+        for stack in record.rdms.values():
+            assert np.max(np.abs(ed_rdm(psi, stack.sites) - stack.entries[k])) <= bound
+
+
+def full_path_reference(initial, protocol, hspec):
+    """The record as the chain-wide loop makes it: every layer on a copy of the
+    whole state, snapshots of energy, bonds, discards and blocks."""
+    state = initial.copy()
+    layers = build_trotter_gates(hspec, protocol.tau)
+    energies, bonds, discarded, blocks = [], [], [], {ell: [] for ell in protocol.subsystem_sizes}
+    total = 0.0
+
+    def snapshot():
+        energies.append(state.energy(hspec))
+        bonds.append(max(state.bond_dims))
+        discarded.append(total)
+        for ell in blocks:
+            blocks[ell].append(state.rdm(centered_block(state.n_sites, ell)))
+
+    snapshot()
+    for step in range(1, round(protocol.t_max / protocol.tau) + 1):
+        step_discarded = 0.0
+        for layer_bonds, gates in layers:
+            step_discarded += state.apply_gate_layer(layer_bonds, gates, policy=protocol.policy)
+        total += step_discarded
+        if step % protocol.record_stride == 0:
+            snapshot()
+    return energies, bonds, discarded, blocks
+
+
+def lopsided(params):
+    """The chain's Hamiltonian with an extra field on its first site only."""
+    spec = build_hamiltonian(params)
+    first = spec.bond_terms[0] - 0.3 * np.kron(SZ, np.eye(2))
+    return HamiltonianSpec(params, (first, *spec.bond_terms[1:]))
+
+
+@pytest.mark.parametrize("case", ("odd chain", "asymmetric state", "asymmetric spec"))
+def test_full_path_keeps_the_chain_wide_bits(case, monkeypatch):
+    n = 9 if case == "odd chain" else 8
+    protocol = short_protocol(post=HamiltonianParams(1.0, 0.1, 0.5, n), t_max=1.0)
+    if case == "asymmetric state":
+        initial = random_state(n, 4, np.random.default_rng(53))
+    else:
+        initial = ground_state(build_hamiltonian(HamiltonianParams(0.2, 1.0, 0.0, n)), seed=3).state
+    hspec = build_hamiltonian(protocol.post)
+    if case == "asymmetric spec":
+        hspec = lopsided(protocol.post)
+        monkeypatch.setattr("spinquench.tebd.build_hamiltonian", lambda params: hspec)
+    record = evolve(initial, protocol)
+    assert record.evolution_path == "full" and not record.aborted
+    energies, bonds, discarded, blocks = full_path_reference(initial, protocol, hspec)
+    assert np.array_equal(record.energies, energies)
+    assert record.max_bond == bonds
+    assert np.array_equal(record.cumulative_discarded, discarded)
+    for ell, rows in blocks.items():
+        assert np.array_equal(record.rdms[ell].entries, rows)
