@@ -24,11 +24,15 @@ A mirror-symmetric state of an even chain can be held by its right half
 alone (``mirror_half``): psi = sum_k lambda_k mirror(R_k) (x) R_k, where R_k
 are the right half's Schmidt vectors and mirror reverses the site order. Its
 gates on the right half's bonds are the ones above; the middle bond's gated
-block is complex symmetric and is re-split by a Takagi factorisation
-(``_takagi``), so the form is kept and no Schmidt value is inverted. Read-outs
-across the middle contract the mirrored tensors. ``tebd.evolve`` takes this
-path for an even chain whose Hamiltonian and start state are both
-mirror-symmetric.
+block is complex symmetric and is re-split by a truncated Takagi
+factorisation (``_takagi_split``), so the form is kept and no Schmidt value is
+inverted. Like the tall blocks above, a block of 10 or more columns takes it
+from ``eigh`` of its n x n Gram matrix, its phases from one more product;
+small blocks, budgets near the Gram's rounding floor, degenerate kept values
+and blocks on which ``eigh`` fails take one real ``eigh`` of the 2n x 2n form
+(``_takagi``), which ``mirror_half`` uses alone. Read-outs across the middle
+contract the mirrored tensors. ``tebd.evolve`` takes this path for an even
+chain whose Hamiltonian and start state are both mirror-symmetric.
 """
 
 from __future__ import annotations
@@ -301,10 +305,12 @@ class MpsState:
 
         The pair block Theta[(s, a), (t, b)] = sum_k B[k, s, a] lambda_k
         B[k, t, b] is built from the first tensor alone; gated, it stays
-        complex symmetric, and its Takagi factors M = U diag(s) U^T re-split
-        it: U^T is the new first tensor (a right isometry) and s, cut by
-        ``_truncation_rank``, the middle Schmidt values. Returns the discarded
-        weight of this one cut; the state is renormalised afterwards.
+        complex symmetric, and its truncated Takagi factors M ~ U diag(s) U^T
+        (``_takagi_split``: from the n x n Gram matrix M^H M, or for small
+        blocks, tight budgets and degenerate kept values from the real 2n x 2n
+        form) re-split it: U^T is the new first tensor (a right isometry) and
+        s, cut by ``_truncation_rank``, the middle Schmidt values. Returns the
+        discarded weight of this one cut; the state is renormalised afterwards.
         """
         if not self.mirrored:
             raise ValueError("the middle-bond gate needs a mirrored state")
@@ -314,10 +320,8 @@ class MpsState:
         theta = (pair.T @ (lam[:, None] * pair)).reshape(2, dr, 2, dr).transpose(0, 2, 1, 3)
         block = (gate @ theta.reshape(4, dr * dr)).reshape(2, 2, dr, dr)
         block = block.transpose(0, 2, 1, 3).reshape(2 * dr, 2 * dr)
-        u, s = _takagi(0.5 * (block + block.T))
-        keep, discarded = _truncation_rank(s, policy)
-        s = s[:keep]
-        self.tensors[0] = u[:, :keep].T.reshape(keep, 2, dr)
+        u, s, discarded = _takagi_split(0.5 * (block + block.T), policy)
+        self.tensors[0] = u.T.reshape(len(s), 2, dr)
         self.schmidt_values[0] = s / np.linalg.norm(s)
         return discarded
 
@@ -488,12 +492,13 @@ def _truncation_rank(singular_values, policy: TruncationPolicy):
 def _takagi(m: np.ndarray):
     """Takagi factors ``(u, s)`` of a complex symmetric n x n matrix: m = u diag(s) u^T.
 
-    One real ``eigh`` of [[Re m, Im m], [Im m, -Re m]], whose spectrum is
-    +-s: the eigenvectors (x; y) of its n largest eigenvalues give the
-    columns x + iy of u, degenerate values included (Horn and Johnson, Matrix
-    Analysis, 2nd ed. (2013), section 4.4). ``s`` is descending, and ``u`` is
-    unitary where s > 0. A matrix holding NaN or inf gives NaN, for the
-    caller's finiteness checks.
+    The real form: one real ``eigh`` of [[Re m, Im m], [Im m, -Re m]], whose
+    spectrum is +-s: the eigenvectors (x; y) of its n largest eigenvalues give
+    the columns x + iy of u, degenerate values included (Horn and Johnson,
+    Matrix Analysis, 2nd ed. (2013), section 4.4). ``s`` is descending, and
+    ``u`` is unitary where s > 0. A matrix holding NaN or inf gives NaN, for
+    the caller's finiteness checks. ``mirror_half`` splits by this alone, and
+    ``_takagi_split`` falls back to it.
     """
     n = len(m)
     if not np.isfinite(m).all():
@@ -524,11 +529,25 @@ def _svd(theta: np.ndarray):
 
 
 # a block (m, n) with m >= n >= _GRAM_MIN_COLS is split from its Gram matrix when
-# the per-cut budget is at least _GRAM_FLOOR * n * eps, the Gram's rounding
-# floor for a unit-norm block. Below 8 columns the SVD costs about the same,
-# and a wide block's n x n Gram costs more than its SVD (3x at 8 x 32)
+# the per-cut budget clears the Gram's rounding floor (``_above_gram_floor``).
+# Below 8 columns the SVD costs about the same, and a wide block's n x n Gram
+# costs more than its SVD (3x at 8 x 32)
 _GRAM_MIN_COLS = 8
 _GRAM_FLOOR = 10
+_EPS = np.finfo(float).eps
+# a complex symmetric block of at least this many columns takes the Takagi
+# split from its n x n Gram matrix, which with one BLAS thread costs 0.7x the
+# real 2n x 2n form at 10 and 12 columns and 0.5x at 40. Below, the saving is
+# about 10 us a split (45 against 56 us at 8 columns), so the middle blocks of
+# a weakly entangled quench keep the real form's accurate small values
+_TAKAGI_GRAM_MIN_COLS = 10
+
+
+def _above_gram_floor(policy: TruncationPolicy, n: int) -> bool:
+    """Whether the per-cut budget is at least ``_GRAM_FLOOR * n * eps``, the
+    rounding floor of squared values read from the n x n Gram matrix of a
+    unit-norm block."""
+    return policy.cutoff * TRUNCATION_MARGIN >= _GRAM_FLOOR * n * _EPS
 
 
 def _schmidt_split(theta: np.ndarray, policy: TruncationPolicy):
@@ -541,8 +560,7 @@ def _schmidt_split(theta: np.ndarray, policy: TruncationPolicy):
     split alike.
     """
     m, n = theta.shape[-2:]
-    budget = policy.cutoff * TRUNCATION_MARGIN
-    if m >= n >= _GRAM_MIN_COLS and budget >= _GRAM_FLOOR * n * np.finfo(float).eps:
+    if m >= n >= _GRAM_MIN_COLS and _above_gram_floor(policy, n):
         try:
             w, v = np.linalg.eigh(theta.conj().swapaxes(-1, -2) @ theta)
             return np.sqrt(np.maximum(w[..., ::-1], 0.0)), v[..., ::-1].conj().swapaxes(-1, -2)
@@ -550,6 +568,44 @@ def _schmidt_split(theta: np.ndarray, policy: TruncationPolicy):
             pass  # the SVD below
     _, s, vh = _svd(theta)
     return s, vh
+
+
+def _takagi_split(m: np.ndarray, policy: TruncationPolicy):
+    """Truncated Takagi factors ``(u, s, discarded)`` of a unit-norm complex symmetric block.
+
+    m ~ u diag(s) u^T, with ``u`` the n x keep kept columns (orthonormal),
+    ``s`` the kept values, cut by ``_truncation_rank``, and ``discarded`` the
+    dropped weight. A finite block of ``_TAKAGI_GRAM_MIN_COLS`` or more columns
+    whose budget clears the Gram's floor is split like ``_schmidt_split``:
+    since m^H m = conj(u) diag(s^2) u^T, ``eigh`` of it gives s^2, to about
+    n * eps, and columns v_k = conj(u_k) e^{i phi_k}. The phases are read from
+    c_k = (v^T m v)_kk = s_k e^{2 i phi_k}: u_k = conj(v_k) sqrt(c_k / |c_k|),
+    with phase 1 where c_k = 0. For an eigenvector v_k, the kept column's
+    residual |m conj(u_k) - s_k u_k|^2 = 2 s_k (s_k - |c_k|) is the weight the
+    split adds to the block's error beside the dropped values, so ``u`` is
+    kept only when these sum to at most the per-cut budget; degenerate kept
+    values, whose vectors ``eigh`` may mix, fail that test. Those blocks,
+    blocks on which ``eigh`` fails, small blocks, tight budgets (``cutoff`` 0)
+    and blocks holding NaN or inf take the real form (``_takagi``), a NaN
+    block splitting into NaN.
+    """
+    n = len(m)
+    budget = policy.cutoff * TRUNCATION_MARGIN
+    if n >= _TAKAGI_GRAM_MIN_COLS and _above_gram_floor(policy, n) and np.isfinite(m).all():
+        try:
+            w, v = np.linalg.eigh(m.conj().T @ m)
+        except np.linalg.LinAlgError:
+            pass  # the real form below
+        else:
+            s = np.sqrt(np.maximum(w[::-1], 0.0))
+            keep, discarded = _truncation_rank(s, policy)
+            s, v = s[:keep], v[:, ::-1][:, :keep]
+            c = np.sum(v * (m @ v), axis=0)
+            if 2.0 * np.dot(s, s - np.abs(c)) <= budget:
+                return v.conj() * np.exp(0.5j * np.angle(c)), s, discarded
+    u, s = _takagi(m)
+    keep, discarded = _truncation_rank(s, policy)
+    return u[:, :keep], s[:keep], discarded
 
 
 def product_state(local_states) -> MpsState:

@@ -15,6 +15,7 @@ from spinquench.mps import (
     _schmidt_split,
     _svd,
     _takagi,
+    _takagi_split,
     _truncation_rank,
     product_state,
 )
@@ -707,6 +708,91 @@ def test_takagi_of_a_non_finite_matrix_is_nan():
     m[1, 2] = m[2, 1] = np.nan
     u, s = _takagi(m)
     assert np.isnan(u).all() and np.isnan(s).all()
+    m = np.eye(16, dtype=complex)
+    m[1, 2] = m[2, 1] = np.nan
+    u, s, _ = _takagi_split(m, TruncationPolicy(cutoff=1e-9, chi_max=50))
+    assert np.isnan(u).all() and np.isnan(s).all()
+
+
+def symmetric_block(rng, values):
+    """A complex symmetric block of unit norm with the given Takagi values."""
+    u = random_unitary(rng, len(values))
+    return (u * (values / np.linalg.norm(values))) @ u.T
+
+
+def real_form_split(m, policy):
+    """Truncated Takagi factors from the real 2n x 2n form, as the fallback makes them."""
+    u, s = _takagi(m)
+    keep, discarded = _truncation_rank(s, policy)
+    return u[:, :keep], s[:keep], discarded
+
+
+@pytest.mark.parametrize("n", (12, 40))
+def test_takagi_split_reads_the_gram_matrix(n, monkeypatch):
+    m = symmetric_block(np.random.default_rng(53), np.logspace(0, -10, n))
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
+    with monkeypatch.context() as patch:
+        calls = counting_linalg(patch)
+        u, s, discarded = _takagi_split(m, policy)
+    assert calls == {"svd": [], "eigh": [(n, n)]}
+    _, s_ref, discarded_ref = real_form_split(m, policy)
+    keep = len(s)
+    assert u.shape == (n, keep) and keep == len(s_ref) and 0 < keep < n
+    assert np.max(np.abs(s - s_ref)) <= 1e-10
+    assert discarded == pytest.approx(discarded_ref, rel=1e-3)
+    # on the kept columns m = u s u^T, and u has orthonormal columns
+    assert np.max(np.abs(u.conj().T @ u - np.eye(keep))) <= 1e-12
+    assert np.max(np.abs(u.conj().T @ m @ u.conj() - np.diag(s))) <= 1e-10
+    # the factors miss m by the dropped weight alone, to within the budget
+    error = np.linalg.norm((u * s) @ u.T - m) ** 2
+    assert abs(error - discarded) <= policy.cutoff * TRUNCATION_MARGIN
+
+
+@pytest.mark.parametrize("case", ("degenerate", "cutoff 0", "small", "eigh fails"))
+def test_takagi_split_falls_back_to_the_real_form(case, monkeypatch):
+    rng = np.random.default_rng(55)
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
+    values = np.logspace(0, -10, 16)
+    if case == "degenerate":  # kept values whose Gram eigenvectors eigh may mix
+        values[[1, 4, 5]] = values[[0, 3, 3]]
+    elif case == "cutoff 0":
+        policy = TruncationPolicy(cutoff=0.0, chi_max=50)
+    elif case == "small":
+        values = values[:8]
+    m = symmetric_block(rng, values)
+    n = len(m)
+    expected = real_form_split(m, policy)
+    original = np.linalg.eigh
+
+    def failing_on_complex(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        if case == "eigh fails":
+            patch.setattr(np.linalg, "eigh", failing_on_complex)
+        calls = counting_linalg(patch)
+        got = _takagi_split(m, policy)
+    tried_gram = case in ("degenerate", "eigh fails")
+    assert calls["eigh"] == [(n, n)] * tried_gram + [(2 * n, 2 * n)]
+    for mine, theirs in zip(got, expected):
+        assert np.array_equal(mine, theirs)
+
+
+def test_takagi_split_of_a_rank_deficient_block_is_finite(monkeypatch):
+    rng = np.random.default_rng(57)
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
+    m = np.zeros((12, 12), dtype=complex)
+    m[:4, :4] = symmetric_block(rng, [1.0, 0.5, 0.25, 0.125])
+    for block, rank in ((m, 4), (np.zeros_like(m), 1)):
+        with monkeypatch.context() as patch:
+            calls = counting_linalg(patch)
+            u, s, discarded = _takagi_split(block, policy)
+        assert calls["eigh"] == [(12, 12)]
+        assert np.isfinite(u).all() and u.shape == (12, rank) and discarded <= 1e-15
+        assert np.max(np.abs(u.conj().T @ u - np.eye(rank))) <= 1e-12
+        assert np.max(np.abs((u * s) @ u.T - block)) <= 1e-12
 
 
 def mirrored_dense(amps, n_sites):
@@ -791,15 +877,31 @@ def test_mirrored_gates_match_the_whole_chain():
         full.apply_middle_gate(gate, policy)
 
 
-def test_middle_gate_truncates_by_the_rank_rule():
+def check_middle_gate_truncation(n_sites, monkeypatch):
+    """A chi_max-bound middle gate on a random symmetric state takes the Gram
+    path and matches the whole chain's gate."""
     rng = np.random.default_rng(51)
-    full, _ = symmetric_state(rng, 8)
+    full, _ = symmetric_state(rng, n_sites)
     half = full.mirror_half()
     policy = TruncationPolicy(cutoff=1e-9, chi_max=5)
     gate = swap_symmetric_gate(rng)
-    weight = half.apply_middle_gate(gate, policy)
-    reference = full.apply_two_site_gate(gate, 3, policy)
+    n_cols = 2 * half.tensors[0].shape[2]
+    with monkeypatch.context() as patch:
+        calls = counting_linalg(patch)
+        weight = half.apply_middle_gate(gate, policy)
+    assert calls == {"svd": [], "eigh": [(n_cols, n_cols)]}  # the Gram path alone
+    middle = n_sites // 2
+    reference = full.apply_two_site_gate(gate, middle - 1, policy)
     assert weight == pytest.approx(reference, rel=1e-10) and weight > 0
-    assert half.bond_dims[3] == full.bond_dims[3] == 5
+    assert half.bond_dims[middle - 1] == full.bond_dims[middle - 1] == 5
     assert np.sum(half.schmidt_values[0] ** 2) == pytest.approx(1.0, abs=1e-14)
-    assert half.schmidt_values[0] == pytest.approx(full.schmidt_values[4], abs=1e-12)
+    assert half.schmidt_values[0] == pytest.approx(full.schmidt_values[middle], abs=1e-12)
+    assert_reads_like(half, full, 1e-12)
+
+
+def test_middle_gate_truncates_by_the_rank_rule(monkeypatch):
+    check_middle_gate_truncation(8, monkeypatch)
+
+
+def test_middle_gate_truncates_by_the_rank_rule_at_16_sites(monkeypatch):
+    check_middle_gate_truncation(16, monkeypatch)
