@@ -22,14 +22,15 @@ then renormalises. A decomposition that LAPACK fails on is redone (see
 
 A mirror-symmetric state of an even chain can be held by its right half
 alone (``mirror_half``): psi = sum_k lambda_k mirror(R_k) (x) R_k, where R_k
-are the right half's Schmidt vectors and mirror reverses the site order. Its
-gates on the right half's bonds are the ones above; the middle bond's gated
-block is complex symmetric and is re-split by a truncated Takagi
-factorisation (``_takagi_split``), so the form is kept and no Schmidt value is
-inverted. Like the tall blocks above, a block of 10 or more columns takes it
-from ``eigh`` of its n x n Gram matrix, its phases from one more product;
-small blocks, budgets near the Gram's rounding floor, degenerate kept values
-and blocks on which ``eigh`` fails take one real ``eigh`` of the 2n x 2n form
+are the right half's Schmidt vectors and mirror reverses the site order.
+``apply_gate_layer`` alone maps whole-chain layers onto it: the right half's
+bonds take the gates above; the middle bond's gated block is complex
+symmetric and is re-split by a truncated Takagi factorisation
+(``_takagi_split``), so the form is kept and no Schmidt value is inverted.
+Like the tall blocks above, a block of 10 or more columns takes it from
+``eigh`` of its n x n Gram matrix, its phases from one more product; small
+blocks, budgets near the Gram's rounding floor, degenerate kept values and
+blocks on which ``eigh`` fails take one real ``eigh`` of the 2n x 2n form
 (``_takagi``), which ``mirror_half`` uses alone. Read-outs across the middle
 contract the mirrored tensors. ``tebd.evolve`` takes this path for an even
 chain whose Hamiltonian and start state are both mirror-symmetric.
@@ -133,9 +134,9 @@ class MpsState:
 
     A ``mirrored`` state (made by ``mirror_half``) stands for a mirror-symmetric
     chain of ``n_sites`` = 2 h sites and holds only its right half: ``tensors``
-    are sites h .. 2h-1, and ``schmidt_values[0]`` the middle cut's values. Its
-    gates number the tensors it holds; ``rdm``, ``energy`` and ``bond_dims``
-    number the sites and bonds of the whole chain.
+    are sites h .. 2h-1, and ``schmidt_values[0]`` the middle cut's values.
+    ``apply_two_site_gate`` numbers the tensors it holds, every other method
+    the sites and bonds of the whole chain.
     """
 
     mirrored = False
@@ -265,40 +266,54 @@ class MpsState:
         return discarded
 
     def apply_gate_layer(self, bonds, gates, policy) -> float:
-        """Apply ``gates[k]`` to bond ``bonds[k]`` for every k.
+        """Apply ``gates[k]``, one of a stacked (len(bonds), 4, 4) complex array,
+        to chain bond ``bonds[k]``; return the discarded weight.
 
-        ``gates`` is a stacked (len(bonds), 4, 4) complex array, and the bonds
-        must be at least two apart, so that no gate reads what another one
-        writes. Groups of ``_MIN_STACK`` or more bonds whose pairs share a
-        shape (dl, chi, dr) go through one stacked contraction, gate product
-        and batched split (``_schmidt_split``); the other bonds go through
+        The bonds must be at least two apart, so that no gate reads what
+        another one writes. Groups of ``_MIN_STACK`` or more bonds whose pairs
+        share a shape (dl, chi, dr) go through one stacked contraction, gate
+        product and batched split (``_schmidt_split``), the others through
         ``apply_two_site_gate``, for which stacking costs more than it saves.
-        Tensors, Schmidt values and the returned discarded weight (summed in
-        the order of ``bonds``) are bit for bit those of
-        ``apply_two_site_gate`` applied to each bond in turn.
+        Tensors, Schmidt values and the weight (summed in the order of
+        ``bonds``) are bit for bit those of ``apply_two_site_gate`` on each
+        bond in turn.
+
+        A ``mirrored`` state takes the whole chain's layer too, mapped onto
+        the half here alone. The layer must be its own mirror image (gate b is
+        gate N-2-b with its sites swapped; not checked): a gate on the middle
+        bond h-1 (h = N/2) goes through ``apply_middle_gate``, the bonds from h
+        on as above, numbered from h, and the weight is twice the right half's
+        plus the middle bond's.
         """
-        n_bonds, last = len(self.tensors) - 1, -2
+        n_bonds, last = self.n_sites - 1, -2
         for i in sorted(bonds):
             if i - last < 2 or i >= n_bonds:
                 raise ValueError(f"gate bonds {tuple(bonds)} must be in range and two apart")
             last = i
-        groups = {}
-        for k, i in enumerate(bonds):
-            shape = (*self.tensors[i].shape, self.tensors[i + 1].shape[2])
-            groups.setdefault(shape, []).append(k)
+        # a mirrored state holds the chain's sites from h on as tensors 0 on: its
+        # middle bond is -1, and the mirror images left of it are skipped
+        offset = len(self.tensors) if self.mirrored else 0
+        sites = [i - offset for i in bonds]
+        groups, middle = {}, 0.0
+        for k, i in enumerate(sites):
+            if i >= 0:
+                shape = (*self.tensors[i].shape, self.tensors[i + 1].shape[2])
+                groups.setdefault(shape, []).append(k)
+            elif i == -1:
+                middle += self.apply_middle_gate(gates[k], policy)
         discarded = [0.0] * len(bonds)
         for rows in groups.values():
             if len(rows) < _MIN_STACK:
                 for k in rows:
-                    discarded[k] = self.apply_two_site_gate(gates[k], bonds[k], policy)
+                    discarded[k] = self.apply_two_site_gate(gates[k], sites[k], policy)
             else:
-                weights = self._apply_gate_stack([bonds[k] for k in rows], gates[rows], policy)
+                weights = self._apply_gate_stack([sites[k] for k in rows], gates[rows], policy)
                 for k, weight in zip(rows, weights.tolist()):
                     discarded[k] = weight
         total = 0.0
         for weight in discarded:
             total += weight
-        return total
+        return (2 * total if self.mirrored else total) + middle
 
     def apply_middle_gate(self, gate, policy) -> float:
         """Apply a swap-symmetric 4x4 gate to the middle bond of a ``mirrored`` state.
@@ -306,11 +321,10 @@ class MpsState:
         The pair block Theta[(s, a), (t, b)] = sum_k B[k, s, a] lambda_k
         B[k, t, b] is built from the first tensor alone; gated, it stays
         complex symmetric, and its truncated Takagi factors M ~ U diag(s) U^T
-        (``_takagi_split``: from the n x n Gram matrix M^H M, or for small
-        blocks, tight budgets and degenerate kept values from the real 2n x 2n
-        form) re-split it: U^T is the new first tensor (a right isometry) and
-        s, cut by ``_truncation_rank``, the middle Schmidt values. Returns the
-        discarded weight of this one cut; the state is renormalised afterwards.
+        (``_takagi_split``) re-split it: U^T is the new first tensor (a right
+        isometry) and s, cut by ``_truncation_rank``, the middle Schmidt
+        values. Returns the discarded weight of this one cut; the state is
+        renormalised afterwards.
         """
         if not self.mirrored:
             raise ValueError("the middle-bond gate needs a mirrored state")

@@ -14,13 +14,12 @@ A snapshot keeps each block's Hermitian matrix unchecked; when the run ends,
 each block size's matrices become one stacked ``DensityMatrix``, validated by
 one batched check and eigensolve.
 
-When N is even, the post-quench Hamiltonian is mirror-symmetric (bond b is
-bond N-2-b with its sites swapped) and so is the start state
-(``MpsState.mirror_half``), every layer is its own mirror image, and the run
-evolves the right half alone: its bonds through ``apply_gate_layer``, with
-each discard counted twice for the mirror bond, and the middle bond through
-``apply_middle_gate``. Odd chains, asymmetric Hamiltonians and asymmetric start
-states take the full path. ``EvolutionRecord.evolution_path`` says which ran.
+When N is even and the post-quench Hamiltonian (bond b is bond N-2-b with its
+sites swapped) and the start state (``MpsState.mirror_half``) are both
+mirror-symmetric, every layer is its own mirror image, and the same loop
+evolves the right half alone: ``MpsState.apply_gate_layer`` maps each layer
+onto it. Odd chains and asymmetric inputs take the full path;
+``EvolutionRecord.evolution_path`` says which ran.
 """
 
 from __future__ import annotations
@@ -144,13 +143,9 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     policy = protocol.policy
     blocks = {ell: centered_block(n, ell) for ell in protocol.subsystem_sizes}
 
-    state = initial.mirror_half() if _mirror_symmetric(hspec) else None
-    if state is None:
-        state, path, copies = initial.copy(), "full", 1
-        layers = [(bonds, gates, None) for bonds, gates in layers]
-    else:  # each right-half bond stands for itself and its mirror bond
-        path, copies = "mirror-half", 2
-        layers = [_right_half(bonds, gates, n // 2) for bonds, gates in layers]
+    if initial.mirrored and not _mirror_symmetric(hspec):
+        raise ValueError("a mirrored state evolves only under a mirror-symmetric Hamiltonian")
+    state = (initial.mirror_half() if _mirror_symmetric(hspec) else None) or initial.copy()
 
     n_steps = math.ceil(protocol.t_max / protocol.tau - _GRID_SLACK)
     times, energies, max_bonds, cum_discarded = [], [], [], []
@@ -179,10 +174,8 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
 
     for step in range(1, n_steps + 1):
         step_discarded = 0.0
-        for bonds, gates, middle in layers:
-            step_discarded += copies * state.apply_gate_layer(bonds, gates, policy)
-            if middle is not None:
-                step_discarded += state.apply_middle_gate(middle, policy)
+        for bonds, gates in layers:
+            step_discarded += state.apply_gate_layer(bonds, gates, policy)
         total_discarded += step_discarded
 
         if max(state.bond_dims) >= policy.chi_max and step_discarded > _STALL_FACTOR * policy.cutoff:
@@ -212,7 +205,7 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
         cumulative_discarded=np.array(cum_discarded),
         aborted=aborted,
         abort_reason=abort_reason,
-        evolution_path=path,
+        evolution_path="mirror-half" if state.mirrored else "full",
     )
 
 
@@ -221,11 +214,3 @@ def _mirror_symmetric(hspec) -> bool:
     terms = hspec.bond_terms
     return all(np.max(np.abs(term - _swapped(mirror))) <= _MIRROR_TERM_TOL
                for term, mirror in zip(terms, terms[::-1]))
-
-
-def _right_half(bonds, gates, half: int):
-    """A layer's right-half bonds, numbered from the half's first site, their
-    gates, and the middle bond's gate or None."""
-    right = [k for k, b in enumerate(bonds) if b >= half]
-    middle = next((gates[k] for k, b in enumerate(bonds) if b == half - 1), None)
-    return tuple(bonds[k] - half for k in right), gates[right], middle

@@ -1,11 +1,16 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-The heavy N=60 runs are shared session fixtures; expect a few minutes of
-wall time for the whole module. Each criterion records a PASS/FAIL line
-that the terminal-summary hook in conftest.py prints at the end.
+The heavy N=60 runs are shared session fixtures, run two at a time in worker
+processes; expect a minute or so of wall time for the whole module. Each
+criterion records a PASS/FAIL line that the terminal-summary hook in
+conftest.py prints at the end.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,22 +57,49 @@ def run_quench(pre, post, n_sites, t_max, tau=0.01, sizes=SIZES, seed=3):
     return gs, evolve(gs.state, protocol)
 
 
+# the three N=60 quenches to t=20 of criteria 5-11, (pre, post, tau), longest first
+N60_QUENCHES = {"fp": (FERRO, PARA, 0.01), "pf": (PARA, FERRO, 0.01), "halved": (PARA, FERRO, 0.002)}
+ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS")}
+
+
+def n60_record(pre, post, tau):
+    return run_quench(pre, post, 60, 20.0, tau=tau)[1]
+
+
 @pytest.fixture(scope="session")
-def headline_records():
+def n60_records():
+    """A function ``record(key)`` that returns the record of ``N60_QUENCHES[key]``.
+
+    The three quenches run two at a time in spawned workers, which start with
+    one BLAS thread each, so that two of them do not oversubscribe two CPUs;
+    with one CPU they run here, one by one. A quench that raises raises in
+    ``record`` for its own key alone.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        yield lambda key: n60_record(*N60_QUENCHES[key])
+        return
+    pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
+    with mock.patch.dict(os.environ, ONE_BLAS_THREAD):  # the workers start in ``submit``
+        futures = {key: pool.submit(n60_record, *args) for key, args in N60_QUENCHES.items()}
+    with pool:
+        yield lambda key: futures[key].result()
+
+
+@pytest.fixture(scope="session")
+def headline_records(n60_records):
     """Both quench directions at N=60, tau=0.01, t <= 20 (criteria 5-11)."""
-    runs = {}
     t0 = time.perf_counter()
-    _, runs["pf"] = run_quench(PARA, FERRO, 60, 20.0)
-    _, runs["fp"] = run_quench(FERRO, PARA, 60, 20.0)
+    runs = {"pf": n60_records("pf"), "fp": n60_records("fp")}
     runs["wall"] = time.perf_counter() - t0
     return runs
 
 
 @pytest.fixture(scope="session")
-def halved_step_record():
+def halved_step_record(n60_records):
     """Para->ferro at N=60 with tau=0.002 on the same recording grid (criterion 11)."""
-    _, record = run_quench(PARA, FERRO, 60, 20.0, tau=0.002)
-    return record
+    return n60_records("halved")
 
 
 def oracle_deviations(n_sites, t_max=5.0):

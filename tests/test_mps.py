@@ -867,11 +867,12 @@ def test_mirrored_gates_match_the_whole_chain():
         gate = swap_symmetric_gate(rng)
         assert half.apply_middle_gate(gate, policy) == 0.0
         assert full.apply_two_site_gate(gate, n // 2 - 1, policy) == 0.0
-        # a right-half bond and its mirror bond, the gate with its sites swapped
+        # one whole-chain layer on both: a right-half bond and its mirror bond,
+        # the gate with its sites swapped
         gate = random_gate(rng, strength=0.8)
-        assert half.apply_gate_layer((1,), gate[None], policy) == 0.0
-        assert full.apply_gate_layer((1, n // 2 + 1), np.stack([SWAP @ gate @ SWAP, gate]),
-                                     policy) == 0.0
+        layer, gates = (1, n // 2 + 1), np.stack([SWAP @ gate @ SWAP, gate])
+        assert half.apply_gate_layer(layer, gates, policy) == 0.0
+        assert full.apply_gate_layer(layer, gates, policy) == 0.0
     assert_reads_like(half, full, 1e-12)
     with pytest.raises(ValueError, match="mirrored"):
         full.apply_middle_gate(gate, policy)
@@ -879,7 +880,8 @@ def test_mirrored_gates_match_the_whole_chain():
 
 def check_middle_gate_truncation(n_sites, monkeypatch):
     """A chi_max-bound middle gate on a random symmetric state takes the Gram
-    path and matches the whole chain's gate."""
+    path and matches the whole chain's gate; then so does a chi_max-bound
+    whole-chain layer that holds the middle bond."""
     rng = np.random.default_rng(51)
     full, _ = symmetric_state(rng, n_sites)
     half = full.mirror_half()
@@ -896,6 +898,18 @@ def check_middle_gate_truncation(n_sites, monkeypatch):
     assert half.bond_dims[middle - 1] == full.bond_dims[middle - 1] == 5
     assert np.sum(half.schmidt_values[0] ** 2) == pytest.approx(1.0, abs=1e-14)
     assert half.schmidt_values[0] == pytest.approx(full.schmidt_values[middle], abs=1e-12)
+    assert_reads_like(half, full, 1e-12)
+    # the middle bond, a right-half bond and its mirror bond in one layer
+    right_gate, gate = random_gate(rng, strength=0.8), swap_symmetric_gate(rng)
+    layer = (middle - 3, middle - 1, middle + 1)
+    gates = np.stack([SWAP @ right_gate @ SWAP, gate, right_gate])
+    right_weight = half.copy().apply_two_site_gate(right_gate, 1, policy)
+    middle_weight = half.copy().apply_middle_gate(gate, policy)
+    weight = half.apply_gate_layer(layer, gates, policy)
+    assert weight == 2 * right_weight + middle_weight and middle_weight > 0
+    # a right-half bond of 8 sites holds at most 4 values, so chi_max binds it only at 16
+    assert (right_weight > 0) == (n_sites > 8)
+    assert weight == pytest.approx(full.apply_gate_layer(layer, gates, policy), rel=1e-10)
     assert_reads_like(half, full, 1e-12)
 
 

@@ -263,17 +263,15 @@ def test_evolve_stacks_gates_and_matches_per_gate_record(monkeypatch):
         calls.append(left_site)
         return original(self, gate, left_site, policy)
 
-    def one_by_one(self, bonds, gates, policy):
-        total = 0.0
-        for bond, gate in zip(bonds, gates):
-            total += self.apply_two_site_gate(gate, bond, policy)
-        return total
+    def one_by_one(self, sites, gates, policy):
+        return np.array([self.apply_two_site_gate(gate, i, policy) for i, gate in zip(sites, gates)])
 
     monkeypatch.setattr(MpsState, "apply_two_site_gate", counting)
     stacked = evolve(all_plus_state(n), protocol)
     stacked_calls = len(calls)
     calls.clear()
-    monkeypatch.setattr(MpsState, "apply_gate_layer", one_by_one)
+    # below the whole-chain mapping: every stack of a layer gate by gate
+    monkeypatch.setattr(MpsState, "_apply_gate_stack", one_by_one)
     reference = evolve(all_plus_state(n), protocol)
     gates_applied = len(calls)
 
@@ -411,6 +409,9 @@ def test_full_path_keeps_the_chain_wide_bits(case, monkeypatch):
         monkeypatch.setattr("spinquench.tebd.build_hamiltonian", lambda params: hspec)
     record = evolve(initial, protocol)
     assert record.evolution_path == "full" and not record.aborted
+    if case == "asymmetric spec":  # whose layers a mirrored state cannot take
+        with pytest.raises(ValueError, match="mirror-symmetric Hamiltonian"):
+            evolve(initial.mirror_half(), protocol)
     energies, bonds, discarded, blocks = full_path_reference(initial, protocol, hspec)
     assert np.array_equal(record.energies, energies)
     assert record.max_bond == bonds
