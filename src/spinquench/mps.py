@@ -27,13 +27,14 @@ are the right half's Schmidt vectors and mirror reverses the site order.
 bonds take the gates above; the middle bond's gated block is complex
 symmetric and is re-split by a truncated Takagi factorisation
 (``_takagi_split``), so the form is kept and no Schmidt value is inverted.
-Like the tall blocks above, a block of 10 or more columns takes it from
-``eigh`` of its n x n Gram matrix, its phases from one more product; small
-blocks, budgets near the Gram's rounding floor, degenerate kept values and
-blocks on which ``eigh`` fails take one real ``eigh`` of the 2n x 2n form
-(``_takagi``), which ``mirror_half`` uses alone. Read-outs across the middle
-contract the mirrored tensors. ``tebd.evolve`` takes this path for an even
-chain whose Hamiltonian and start state are both mirror-symmetric.
+It takes the block's values and right vectors from ``_schmidt_split``, by
+the one Gram-or-SVD rule above, and one phase per column from one more
+product. Only blocks whose phases miss the budget (degenerate kept values,
+often at cutoff 0) and blocks holding NaN or inf fall back to one real
+``eigh`` of the 2n x 2n form (``_takagi``), which ``mirror_half`` uses
+alone. Read-outs across the middle contract the mirrored tensors.
+``tebd.evolve`` takes this path for an even chain whose Hamiltonian and
+start state are both mirror-symmetric.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ class DensityMatrix:
         rho.flags.writeable = evals.flags.writeable = False
         object.__setattr__(self, "entries", rho)
         object.__setattr__(self, "_spectrum", evals)
+
+    def __setstate__(self, state):
+        """Unpickled arrays come back writeable: make them read-only again."""
+        state["entries"].flags.writeable = state["_spectrum"].flags.writeable = False
+        self.__dict__.update(state)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -217,8 +223,11 @@ class MpsState:
 
         One QR sweep to the last site, then one SVD sweep back that leaves
         right isometries behind and records each cut's singular values.
-        Nothing is truncated.
+        Nothing is truncated. A ``mirrored`` state is refused: its gates keep
+        it in the Schmidt form.
         """
+        if self.mirrored:
+            raise ValueError("a mirrored state is kept in the Schmidt form by its gates")
         n = self.n_sites
         for i in range(n - 1):
             dl, d, dr = self.tensors[i].shape
@@ -512,7 +521,7 @@ def _takagi(m: np.ndarray):
     Matrix Analysis, 2nd ed. (2013), section 4.4). ``s`` is descending, and
     ``u`` is unitary where s > 0. A matrix holding NaN or inf gives NaN, for
     the caller's finiteness checks. ``mirror_half`` splits by this alone, and
-    ``_takagi_split`` falls back to it.
+    ``_takagi_split`` falls back to it where its phases fail.
     """
     n = len(m)
     if not np.isfinite(m).all():
@@ -543,25 +552,13 @@ def _svd(theta: np.ndarray):
 
 
 # a block (m, n) with m >= n >= _GRAM_MIN_COLS is split from its Gram matrix when
-# the per-cut budget clears the Gram's rounding floor (``_above_gram_floor``).
-# Below 8 columns the SVD costs about the same, and a wide block's n x n Gram
-# costs more than its SVD (3x at 8 x 32)
+# the per-cut budget is at least _GRAM_FLOOR times n * eps, the rounding floor
+# of squared values read from the n x n Gram matrix of a unit-norm block. Below 8
+# columns the SVD costs about the same, and a wide block's n x n Gram costs
+# more than its SVD (3x at 8 x 32)
 _GRAM_MIN_COLS = 8
 _GRAM_FLOOR = 10
 _EPS = np.finfo(float).eps
-# a complex symmetric block of at least this many columns takes the Takagi
-# split from its n x n Gram matrix, which with one BLAS thread costs 0.7x the
-# real 2n x 2n form at 10 and 12 columns and 0.5x at 40. Below, the saving is
-# about 10 us a split (45 against 56 us at 8 columns), so the middle blocks of
-# a weakly entangled quench keep the real form's accurate small values
-_TAKAGI_GRAM_MIN_COLS = 10
-
-
-def _above_gram_floor(policy: TruncationPolicy, n: int) -> bool:
-    """Whether the per-cut budget is at least ``_GRAM_FLOOR * n * eps``, the
-    rounding floor of squared values read from the n x n Gram matrix of a
-    unit-norm block."""
-    return policy.cutoff * TRUNCATION_MARGIN >= _GRAM_FLOOR * n * _EPS
 
 
 def _schmidt_split(theta: np.ndarray, policy: TruncationPolicy):
@@ -571,10 +568,11 @@ def _schmidt_split(theta: np.ndarray, policy: TruncationPolicy):
     theta^H theta gives s^2, to about n * eps, and vh. Other shapes, budgets
     near that floor (``cutoff`` 0) and blocks on which ``eigh`` fails take the
     SVD. The choice rests on shape and policy alone, so a stack and its rows
-    split alike.
+    split alike. This is the one place that makes it: the middle bond's
+    Takagi split (``_takagi_split``) reads its values and vectors from here.
     """
     m, n = theta.shape[-2:]
-    if m >= n >= _GRAM_MIN_COLS and _above_gram_floor(policy, n):
+    if m >= n >= _GRAM_MIN_COLS and policy.cutoff * TRUNCATION_MARGIN >= _GRAM_FLOOR * n * _EPS:
         try:
             w, v = np.linalg.eigh(theta.conj().swapaxes(-1, -2) @ theta)
             return np.sqrt(np.maximum(w[..., ::-1], 0.0)), v[..., ::-1].conj().swapaxes(-1, -2)
@@ -589,34 +587,25 @@ def _takagi_split(m: np.ndarray, policy: TruncationPolicy):
 
     m ~ u diag(s) u^T, with ``u`` the n x keep kept columns (orthonormal),
     ``s`` the kept values, cut by ``_truncation_rank``, and ``discarded`` the
-    dropped weight. A finite block of ``_TAKAGI_GRAM_MIN_COLS`` or more columns
-    whose budget clears the Gram's floor is split like ``_schmidt_split``:
-    since m^H m = conj(u) diag(s^2) u^T, ``eigh`` of it gives s^2, to about
-    n * eps, and columns v_k = conj(u_k) e^{i phi_k}. The phases are read from
-    c_k = (v^T m v)_kk = s_k e^{2 i phi_k}: u_k = conj(v_k) sqrt(c_k / |c_k|),
-    with phase 1 where c_k = 0. For an eigenvector v_k, the kept column's
-    residual |m conj(u_k) - s_k u_k|^2 = 2 s_k (s_k - |c_k|) is the weight the
-    split adds to the block's error beside the dropped values, so ``u`` is
-    kept only when these sum to at most the per-cut budget; degenerate kept
-    values, whose vectors ``eigh`` may mix, fail that test. Those blocks,
-    blocks on which ``eigh`` fails, small blocks, tight budgets (``cutoff`` 0)
-    and blocks holding NaN or inf take the real form (``_takagi``), a NaN
-    block splitting into NaN.
+    dropped weight. The values and right vectors come from ``_schmidt_split``:
+    since m^H m = conj(u) diag(s^2) u^T, any right singular vectors are
+    columns v_k = conj(u_k) e^{i phi_k}, one phase per column (Horn and
+    Johnson, Matrix Analysis, 2nd ed. (2013), section 4.4). The phases are
+    read from c_k = (v^T m v)_kk = s_k e^{2 i phi_k}: u_k = conj(v_k)
+    sqrt(c_k / |c_k|), with phase 1 where c_k = 0. The kept column's residual
+    |m conj(u_k) - s_k u_k|^2 = 2 s_k (s_k - |c_k|) is the weight the split
+    adds to the block's error beside the dropped values, so ``u`` is kept
+    only when these sum to at most the per-cut budget. Blocks that fail this
+    test (degenerate kept values, whose vectors the split may mix; at cutoff
+    0 any residual above rounding; blocks holding NaN or inf) take the real
+    form (``_takagi``), a NaN block splitting into NaN.
     """
-    n = len(m)
-    budget = policy.cutoff * TRUNCATION_MARGIN
-    if n >= _TAKAGI_GRAM_MIN_COLS and _above_gram_floor(policy, n) and np.isfinite(m).all():
-        try:
-            w, v = np.linalg.eigh(m.conj().T @ m)
-        except np.linalg.LinAlgError:
-            pass  # the real form below
-        else:
-            s = np.sqrt(np.maximum(w[::-1], 0.0))
-            keep, discarded = _truncation_rank(s, policy)
-            s, v = s[:keep], v[:, ::-1][:, :keep]
-            c = np.sum(v * (m @ v), axis=0)
-            if 2.0 * np.dot(s, s - np.abs(c)) <= budget:
-                return v.conj() * np.exp(0.5j * np.angle(c)), s, discarded
+    s, vh = _schmidt_split(m, policy)
+    keep, discarded = _truncation_rank(s, policy)
+    s, v = s[:keep], vh[:keep].conj().T
+    c = np.sum(v * (m @ v), axis=0)
+    if 2.0 * np.dot(s, s - np.abs(c)) <= policy.cutoff * TRUNCATION_MARGIN:
+        return v.conj() * np.exp(0.5j * np.angle(c)), s, discarded
     u, s = _takagi(m)
     keep, discarded = _truncation_rank(s, policy)
     return u[:, :keep], s[:keep], discarded

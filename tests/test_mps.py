@@ -727,16 +727,12 @@ def real_form_split(m, policy):
     return u[:, :keep], s[:keep], discarded
 
 
-@pytest.mark.parametrize("n", (12, 40))
-def test_takagi_split_reads_the_gram_matrix(n, monkeypatch):
-    m = symmetric_block(np.random.default_rng(53), np.logspace(0, -10, n))
-    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
-    with monkeypatch.context() as patch:
-        calls = counting_linalg(patch)
-        u, s, discarded = _takagi_split(m, policy)
-    assert calls == {"svd": [], "eigh": [(n, n)]}
+def check_takagi_split(m, policy, split):
+    """``split`` = (u, s, discarded) keeps the real form's values and misses m
+    by the dropped weight alone."""
+    u, s, discarded = split
+    n, keep = len(m), len(s)
     _, s_ref, discarded_ref = real_form_split(m, policy)
-    keep = len(s)
     assert u.shape == (n, keep) and keep == len(s_ref) and 0 < keep < n
     assert np.max(np.abs(s - s_ref)) <= 1e-10
     assert discarded == pytest.approx(discarded_ref, rel=1e-3)
@@ -748,20 +744,25 @@ def test_takagi_split_reads_the_gram_matrix(n, monkeypatch):
     assert abs(error - discarded) <= policy.cutoff * TRUNCATION_MARGIN
 
 
-@pytest.mark.parametrize("case", ("degenerate", "cutoff 0", "small", "eigh fails"))
-def test_takagi_split_falls_back_to_the_real_form(case, monkeypatch):
-    rng = np.random.default_rng(55)
+@pytest.mark.parametrize("n", (6, 8, 12, 40))
+def test_takagi_split_reads_the_gram_matrix(n, monkeypatch):
+    """Blocks of 8 or more columns take the Gram route, smaller ones the SVD:
+    the one rule of ``_schmidt_split``, whose values the split keeps."""
+    m = symmetric_block(np.random.default_rng(53), np.logspace(0, -10, n))
     policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
-    values = np.logspace(0, -10, 16)
-    if case == "degenerate":  # kept values whose Gram eigenvectors eigh may mix
-        values[[1, 4, 5]] = values[[0, 3, 3]]
-    elif case == "cutoff 0":
-        policy = TruncationPolicy(cutoff=0.0, chi_max=50)
-    elif case == "small":
-        values = values[:8]
-    m = symmetric_block(rng, values)
-    n = len(m)
-    expected = real_form_split(m, policy)
+    with monkeypatch.context() as patch:
+        calls = counting_linalg(patch)
+        split = _takagi_split(m, policy)
+    route = "svd" if n < 8 else "eigh"
+    assert calls == {"svd": [], "eigh": [], route: [(n, n)]}
+    check_takagi_split(m, policy, split)
+    s = split[1]
+    assert np.array_equal(s, _schmidt_split(m, policy)[0][:len(s)])
+
+
+def test_takagi_split_takes_the_svd_where_eigh_fails(monkeypatch):
+    m = symmetric_block(np.random.default_rng(55), np.logspace(0, -10, 16))
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
     original = np.linalg.eigh
 
     def failing_on_complex(a, *args, **kwargs):
@@ -770,11 +771,30 @@ def test_takagi_split_falls_back_to_the_real_form(case, monkeypatch):
         return original(a, *args, **kwargs)
 
     with monkeypatch.context() as patch:
-        if case == "eigh fails":
-            patch.setattr(np.linalg, "eigh", failing_on_complex)
+        patch.setattr(np.linalg, "eigh", failing_on_complex)
+        calls = counting_linalg(patch)
+        split = _takagi_split(m, policy)
+    # the Gram matrix's eigh fails, the SVD stands in, and no 2n x 2n eigh follows
+    assert calls == {"svd": [(16, 16)], "eigh": [(16, 16)]}
+    check_takagi_split(m, policy, split)
+
+
+@pytest.mark.parametrize("case", ("degenerate", "cutoff 0"))
+def test_takagi_split_falls_back_to_the_real_form(case, monkeypatch):
+    rng = np.random.default_rng(55)
+    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
+    values = np.logspace(0, -10, 16)
+    if case == "degenerate":  # kept values whose Gram eigenvectors eigh may mix
+        values[[1, 4, 5]] = values[[0, 3, 3]]
+    else:
+        policy = TruncationPolicy(cutoff=0.0, chi_max=50)
+    m = symmetric_block(rng, values)
+    n = len(m)
+    expected = real_form_split(m, policy)
+    with monkeypatch.context() as patch:
         calls = counting_linalg(patch)
         got = _takagi_split(m, policy)
-    tried_gram = case in ("degenerate", "eigh fails")
+    tried_gram = case == "degenerate"
     assert calls["eigh"] == [(n, n)] * tried_gram + [(2 * n, 2 * n)]
     for mine, theirs in zip(got, expected):
         assert np.array_equal(mine, theirs)
@@ -844,6 +864,8 @@ def test_mirror_half_reads_like_the_whole_state(n_sites):
         mat = t.reshape(t.shape[0], -1)
         assert np.max(np.abs(mat @ mat.conj().T - np.eye(t.shape[0]))) <= 1e-12
     assert half.copy().mirrored and half.mirror_half().mirrored
+    with pytest.raises(ValueError, match="mirrored state is kept in the Schmidt form"):
+        half.canonicalize()
 
 
 def test_mirror_half_refuses_odd_and_asymmetric_states():

@@ -1,5 +1,7 @@
 """Quench evolution loop: recording grid, diagnostics, oracle agreement, aborts."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,8 @@ def test_matches_dense_oracle(para_ground):
 
 def test_record_stacks_are_validated_once_and_read_only(para_ground):
     record = evolve(para_ground.state, short_protocol(t_max=1.0))
+    # a record sent back by a worker process stays read-only, its spectra intact
+    twin = pickle.loads(pickle.dumps(record))
     for ell in (1, 2, 3):
         stack = record.rdms[ell]
         assert stack.entries.shape == (record.n_times, 2**ell, 2**ell)
@@ -132,6 +136,10 @@ def test_record_stacks_are_validated_once_and_read_only(para_ground):
             stack.entries[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             stack.entries[0][0, 0] = 1.0
+        copy = twin.rdms[ell]
+        assert not copy.entries.flags.writeable and not copy.spectrum().flags.writeable
+        assert np.array_equal(copy.entries, stack.entries) and copy.sites == stack.sites
+        assert np.array_equal(copy.spectrum(), stack.spectrum())
 
 
 def test_invalid_block_state_raises_when_the_record_is_made(para_ground, monkeypatch):
