@@ -32,9 +32,11 @@ the one Gram-or-SVD rule above, and one phase per column from one more
 product. Only blocks whose phases miss the budget (degenerate kept values,
 often at cutoff 0) and blocks holding NaN or inf fall back to one real
 ``eigh`` of the 2n x 2n form (``_takagi``), which ``mirror_half`` uses
-alone. Read-outs across the middle contract the mirrored tensors.
-``tebd.evolve`` takes this path for an even chain whose Hamiltonian and
-start state are both mirror-symmetric.
+alone. Both kinds of state are mixed-canonical about one cut, cut 0 or the
+middle one, so one reader (``MpsState._block``) contracts any block of
+either for the block states, bond energies and the middle gate.
+``tebd.evolve`` takes this path for every mirror-symmetric start state of
+an even chain.
 """
 
 from __future__ import annotations
@@ -140,9 +142,10 @@ class MpsState:
 
     A ``mirrored`` state (made by ``mirror_half``) stands for a mirror-symmetric
     chain of ``n_sites`` = 2 h sites and holds only its right half: ``tensors``
-    are sites h .. 2h-1, and ``schmidt_values[0]`` the middle cut's values.
-    ``apply_two_site_gate`` numbers the tensors it holds, every other method
-    the sites and bonds of the whole chain.
+    are sites h .. 2h-1, and ``schmidt_values[j]`` the values of cut h + j,
+    which are those of cut h - j too. ``apply_two_site_gate`` numbers the
+    tensors it holds, every other method the sites and bonds of the whole
+    chain.
     """
 
     mirrored = False
@@ -262,7 +265,7 @@ class MpsState:
         i = left_site
         if not 0 <= i < len(self.tensors) - 1:
             raise ValueError(f"gate site {i} out of range")
-        phi = gate @ _two_site(self.tensors[i], self.tensors[i + 1])  # (l, 4, r)
+        phi = gate @ _contract(self.tensors[i:i + 2])  # (l, 4, r)
         dl, _, dr = phi.shape
         theta = (schmidt[i][:, None, None] * phi).reshape(dl * 2, 2 * dr)
         s, vh = _schmidt_split(theta, policy)
@@ -289,10 +292,11 @@ class MpsState:
 
         A ``mirrored`` state takes the whole chain's layer too, mapped onto
         the half here alone. The layer must be its own mirror image (gate b is
-        gate N-2-b with its sites swapped; not checked): a gate on the middle
-        bond h-1 (h = N/2) goes through ``apply_middle_gate``, the bonds from h
-        on as above, numbered from h, and the weight is twice the right half's
-        plus the middle bond's.
+        gate N-2-b with its sites swapped); this goes unchecked because every
+        layer that ``evolve`` passes is one, ``build_hamiltonian`` making a
+        uniform chain. A gate on the middle bond h-1 (h = N/2) goes through
+        ``apply_middle_gate``, the bonds from h on as above, numbered from h,
+        and the weight is twice the right half's plus the middle bond's.
         """
         n_bonds, last = self.n_sites - 1, -2
         for i in sorted(bonds):
@@ -327,22 +331,21 @@ class MpsState:
     def apply_middle_gate(self, gate, policy) -> float:
         """Apply a swap-symmetric 4x4 gate to the middle bond of a ``mirrored`` state.
 
-        The pair block Theta[(s, a), (t, b)] = sum_k B[k, s, a] lambda_k
-        B[k, t, b] is built from the first tensor alone; gated, it stays
-        complex symmetric, and its truncated Takagi factors M ~ U diag(s) U^T
-        (``_takagi_split``) re-split it: U^T is the new first tensor (a right
-        isometry) and s, cut by ``_truncation_rank``, the middle Schmidt
-        values. Returns the discarded weight of this one cut; the state is
+        The middle pair, ``_block`` of sites h-1 and h, is Theta[(s, a),
+        (t, b)] = sum_k B[k, s, a] lambda_k B[k, t, b], B the first tensor;
+        gated, it stays complex symmetric, and its truncated Takagi factors
+        M ~ U diag(s) U^T (``_takagi_split``) re-split it: U^T is the new
+        first tensor (a right isometry) and s, cut by ``_truncation_rank``,
+        the middle Schmidt values. Returns the discarded weight of this one cut; the state is
         renormalised afterwards.
         """
         if not self.mirrored:
             raise ValueError("the middle-bond gate needs a mirrored state")
-        first, lam = self.tensors[0], self.schmidt_values[0]
-        dr = first.shape[2]
-        pair = first.reshape(len(lam), 2 * dr)
-        theta = (pair.T @ (lam[:, None] * pair)).reshape(2, dr, 2, dr).transpose(0, 2, 1, 3)
-        block = (gate @ theta.reshape(4, dr * dr)).reshape(2, 2, dr, dr)
-        block = block.transpose(0, 2, 1, 3).reshape(2 * dr, 2 * dr)
+        half = len(self.tensors)
+        phi = gate @ self._block(half - 1, half)  # (r, 4, r)
+        dr = phi.shape[0]
+        # rows: site h-1 and its bond; columns: site h and its bond
+        block = phi.reshape(dr, 2, 2, dr).transpose(1, 0, 2, 3).reshape(2 * dr, 2 * dr)
         u, s, discarded = _takagi_split(0.5 * (block + block.T), policy)
         self.tensors[0] = u.T.reshape(len(s), 2, dr)
         self.schmidt_values[0] = s / np.linalg.norm(s)
@@ -386,63 +389,64 @@ class MpsState:
 
     def rdm(self, sites) -> np.ndarray:
         """Hermitian matrix of a contiguous block of at most ``RDM_SITE_CAP`` sites,
-        a local contraction. It comes back unchecked: ``evolve`` validates a run's
-        matrices of one block as one stacked ``DensityMatrix``.
+        m m^H of the block's contraction (``_block``). It comes back unchecked:
+        ``evolve`` validates a run's matrices of one block as one stacked
+        ``DensityMatrix``.
         """
         sites = _block_sites(sites, self.n_sites)
         if len(sites) > RDM_SITE_CAP:
             raise ValueError(f"block of {len(sites)} sites exceeds the cap of {RDM_SITE_CAP}")
-        first, last, n_left = sites[0], sites[-1], 0
-        if self.mirrored:
-            # site g of the chain is tensor g - h, or left of the middle the
-            # mirror of tensor h - 1 - g, whose sites read in reverse order
-            half = len(self.tensors)
-            n_left = min(max(half - first, 0), len(sites))
-            first, last = first - half, last - half
-            if last < 0:  # wholly left of the middle: the mirror block
-                first, last = -1 - last, -1 - first
-        dim = 2 ** len(sites)
-        if first < 0:  # across the middle: mirrored left tensors, lambda, right tensors
-            left = _contract(self.tensors[:n_left])
-            right = _contract(self.tensors[:last + 1], self.schmidt_values[0])
-            m = np.tensordot(left, right, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(dim, -1)
-        else:
-            block = _contract(self.tensors[first:last + 1], self.schmidt_values[first])
-            # rows: the block's physical index; columns: both bond indices
-            m = block.transpose(1, 0, 2).reshape(dim, -1)
-        if n_left > 1:
-            flip = [*range(n_left - 1, -1, -1), *range(n_left, len(sites) + 1)]
-            m = m.reshape((2,) * len(sites) + (-1,)).transpose(flip).reshape(dim, -1)
+        block = self._block(sites[0], sites[-1])
+        # rows: the block's physical index; columns: both bond indices
+        m = block.transpose(1, 0, 2).reshape(block.shape[1], -1)
         rho = m @ m.conj().T
         return 0.5 * (rho + rho.conj().T)
 
     def energy(self, hspec: HamiltonianSpec) -> float:
-        """Sum of bond-term expectations, one local contraction per bond.
+        """Sum of bond-term expectations, one ``_block`` of two sites per bond.
 
-        A ``mirrored`` state reads each right-half bond once for its own term
-        and its mirror bond's, swapped, and the middle bond from its first
-        tensor alone; for a mirror-symmetric chain that is twice the right
-        half's bond energies plus the middle bond's.
+        A ``mirrored`` state reads the bonds from the middle one on: each
+        right-half bond once for its own term and its mirror bond's, swapped;
+        for a mirror-symmetric chain that is twice the right half's bond
+        energies plus the middle bond's.
         """
         if hspec.n_sites != self.n_sites:
             raise ValueError(
                 f"Hamiltonian has {hspec.n_sites} sites, state has {self.n_sites}"
             )
-        schmidt, terms = self.schmidt_values, hspec.bond_terms
+        terms = hspec.bond_terms
+        half = len(self.tensors) if self.mirrored else 0
         total = 0.0 + 0.0j
-        if self.mirrored:
-            half = len(self.tensors)
-            first = self.tensors[0]
-            theta = np.tensordot(first, schmidt[0][:, None, None] * first, axes=(0, 0))
-            theta = theta.transpose(1, 0, 2, 3).reshape(first.shape[2], 4, first.shape[2])
-            total += np.vdot(theta, terms[half - 1] @ theta)
-            terms = [terms[half + j] + _swapped(terms[half - 2 - j]) for j in range(half - 1)]
-        for b, term in enumerate(terms):
-            theta = _two_site(schmidt[b][:, None, None] * self.tensors[b], self.tensors[b + 1])
+        for b in range(max(half - 1, 0), self.n_sites - 1):
+            term = terms[b] + _swapped(terms[2 * half - 2 - b]) if 0 < half <= b else terms[b]
+            theta = self._block(b, b + 1)
             total += np.vdot(theta, term @ theta)
-        if abs(total.imag) > 1e-10:
+        # the imaginary part is rounding, which grows with the terms' scale
+        if abs(total.imag) > 1e-10 * max(1.0, abs(total)):
             raise ValueError(f"energy has imaginary part {total.imag}")
         return float(total.real)
+
+    def _block(self, first, last) -> np.ndarray:
+        """Sites first..last of the chain contracted into legs (l, 2**len, r).
+
+        Both kinds of state are mixed-canonical about a centre cut h: left
+        isometries, that cut's Schmidt values, then right isometries
+        (Schollwoeck, Ann. Phys. 326, 96 (2011)). The Schmidt form has h = 0; a
+        ``mirrored`` state has the middle cut, and its site g < h is tensor
+        h-1-g with its bond legs swapped. So the block is its sites' tensors
+        with the values of its cut nearest the centre scaled in, and m m^H of
+        it, m its physical index against both bonds, is the block's state.
+        """
+        half = len(self.tensors) if self.mirrored else 0
+        run = [self.tensors[g - half] if g >= half else self.tensors[half - 1 - g].transpose(2, 1, 0)
+               for g in range(first, last + 1)]
+        cut = min(max(half, first), last + 1)
+        values = self.schmidt_values[abs(cut - half)]
+        if cut <= last:
+            run[cut - first] = values[:, None, None] * run[cut - first]
+        else:
+            run[-1] = run[-1] * values
+        return _contract(run)
 
 
 def _block_sites(sites, n_sites: int) -> tuple:
@@ -453,13 +457,12 @@ def _block_sites(sites, n_sites: int) -> tuple:
     return sites
 
 
-def _contract(tensors, weights=None) -> np.ndarray:
-    """A run of site tensors contracted into legs (l, 2**len, r), its left bond
-    scaled by ``weights`` when given."""
-    block = tensors[0] if weights is None else weights[:, None, None] * tensors[0]
+def _contract(tensors) -> np.ndarray:
+    """A run of site tensors contracted into legs (l, 2**len, r), one matmul per bond."""
+    block = tensors[0]
     for t in tensors[1:]:
-        block = np.tensordot(block, t, axes=(block.ndim - 1, 0))
-    return block.reshape(block.shape[0], -1, block.shape[-1])
+        block = block.reshape(-1, t.shape[0]) @ t.reshape(t.shape[0], -1)
+    return block.reshape(tensors[0].shape[0], -1, tensors[-1].shape[2])
 
 
 # the basis order of a pair with its two sites swapped
@@ -469,13 +472,6 @@ _SWAP = [0, 2, 1, 3]
 def _swapped(term: np.ndarray) -> np.ndarray:
     """A 4x4 two-site operator with its sites exchanged."""
     return term[_SWAP][:, _SWAP]
-
-
-def _two_site(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Contract neighbouring site tensors into a pair tensor with legs (l, 4, r)."""
-    dl, _, bond = left.shape
-    dr = right.shape[2]
-    return (left.reshape(dl * 2, bond) @ right.reshape(bond, 2 * dr)).reshape(dl, 4, dr)
 
 
 TRUNCATION_MARGIN = 1e-3

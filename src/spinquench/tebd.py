@@ -14,11 +14,11 @@ A snapshot keeps each block's Hermitian matrix unchecked; when the run ends,
 each block size's matrices become one stacked ``DensityMatrix``, validated by
 one batched check and eigensolve.
 
-When N is even and the post-quench Hamiltonian (bond b is bond N-2-b with its
-sites swapped) and the start state (``MpsState.mirror_half``) are both
-mirror-symmetric, every layer is its own mirror image, and the same loop
-evolves the right half alone: ``MpsState.apply_gate_layer`` maps each layer
-onto it. Odd chains and asymmetric inputs take the full path;
+The post-quench chain is uniform (``build_hamiltonian``), so every layer is
+its own mirror image. When the start state of an even chain is
+mirror-symmetric too (``MpsState.mirror_half``), the same loop evolves the
+right half alone: ``MpsState.apply_gate_layer`` maps each layer onto it.
+Odd chains and asymmetric start states take the full path;
 ``EvolutionRecord.evolution_path`` says which ran.
 """
 
@@ -30,14 +30,11 @@ import math
 import numpy as np
 
 from .model import HamiltonianParams, build_hamiltonian, build_trotter_gates
-from .mps import RDM_SITE_CAP, DensityMatrix, MpsState, TruncationPolicy, _swapped
+from .mps import RDM_SITE_CAP, DensityMatrix, MpsState, TruncationPolicy
 
 _GRID_SLACK = 1e-9
 _STALL_STEPS = 10
 _STALL_FACTOR = 100.0
-# largest entry by which a bond term may differ from its mirror bond's, swapped,
-# in a Hamiltonian that the half path takes: the rounding of the field sums
-_MIRROR_TERM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,12 @@ def centered_block(n_sites: int, ell: int):
 def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     """Run the quench and return the recorded archive.
 
-    The input state is left untouched; evolution happens on a copy. Aborts
-    with a partial (flagged) record when values go non-finite or when the
-    bond dimension saturates while the per-step discarded weight stays above
-    100x the cutoff for ten consecutive steps. The block states are validated
+    The input state is left untouched; evolution happens on a copy: of its
+    right half when the chain is even and the state mirror-symmetric
+    (``MpsState.mirror_half``), else of the whole state. Aborts with a
+    partial (flagged) record when values go non-finite or when the bond
+    dimension saturates while the per-step discarded weight stays above 100x
+    the cutoff for ten consecutive steps. The block states are validated
     when the record is made, so a block matrix that is not a density matrix
     raises ``ValueError`` when ``evolve`` returns, not at its snapshot.
     """
@@ -142,10 +141,7 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
     layers = build_trotter_gates(hspec, protocol.tau)
     policy = protocol.policy
     blocks = {ell: centered_block(n, ell) for ell in protocol.subsystem_sizes}
-
-    if initial.mirrored and not _mirror_symmetric(hspec):
-        raise ValueError("a mirrored state evolves only under a mirror-symmetric Hamiltonian")
-    state = (initial.mirror_half() if _mirror_symmetric(hspec) else None) or initial.copy()
+    state = initial.mirror_half() or initial.copy()
 
     n_steps = math.ceil(protocol.t_max / protocol.tau - _GRID_SLACK)
     times, energies, max_bonds, cum_discarded = [], [], [], []
@@ -163,7 +159,7 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
             return False
         times.append(t)
         energies.append(energy)
-        max_bonds.append(max(state.bond_dims) if n > 1 else 1)
+        max_bonds.append(max(state.bond_dims))
         cum_discarded.append(total_discarded)
         for ell, sites in blocks.items():
             rdms[ell].append(state.rdm(sites))
@@ -207,10 +203,3 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
         abort_reason=abort_reason,
         evolution_path="mirror-half" if state.mirrored else "full",
     )
-
-
-def _mirror_symmetric(hspec) -> bool:
-    """Whether every bond term equals its mirror bond's with the sites swapped."""
-    terms = hspec.bond_terms
-    return all(np.max(np.abs(term - _swapped(mirror))) <= _MIRROR_TERM_TOL
-               for term, mirror in zip(terms, terms[::-1]))

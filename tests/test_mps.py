@@ -8,6 +8,7 @@ import pytest
 
 from spinquench.model import SX, SZ, HamiltonianParams, HamiltonianSpec, build_hamiltonian
 from spinquench.mps import (
+    RDM_SITE_CAP,
     TRUNCATION_MARGIN,
     DensityMatrix,
     MpsState,
@@ -837,11 +838,12 @@ def swap_symmetric_gate(rng, strength=0.8):
 
 
 def assert_reads_like(half, full, tol):
-    """Every block of up to four sites, the bond dimensions and the energy of a
-    random Hamiltonian with no mirror symmetry read alike on both states."""
+    """Every block of up to ``RDM_SITE_CAP`` sites, the bond dimensions and the
+    energy of a random Hamiltonian with no mirror symmetry read alike on both
+    states."""
     n = full.n_sites
     assert half.n_sites == n and half.bond_dims == full.bond_dims
-    for ell in range(1, 5):
+    for ell in range(1, RDM_SITE_CAP + 1):
         for first in range(n - ell + 1):
             sites = tuple(range(first, first + ell))
             assert np.max(np.abs(half.rdm(sites) - full.rdm(sites))) <= tol
