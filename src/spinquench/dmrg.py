@@ -1,22 +1,20 @@
-"""Two-site DMRG ground-state search for nearest-neighbour bond Hamiltonians.
+"""Two-site DMRG ground-state search for the mixed-field Ising chain.
 
-Each bond term is split into on-site parts and a remainder whose Kronecker
-factors (an operator Schmidt decomposition) alone get internal MPO states, so
-the Ising chain has MPO width 3. The search runs in the dtype of the
-Hamiltonian: a chain whose bond terms have no imaginary part (the Ising chain
-in the sz basis) gets a float64 MPO, start state, environments, block solves
-and splits. The sweeps are the standard ones: cached left/right environments,
-a smallest-eigenpair solve on each two-site block from the halves L.W and W.R
-(dense up to 32 dims, then a numpy Lanczos with full reorthogonalisation and
-the residual test on a schedule), SVD split with truncation, and convergence
-on the change of the block energy across sweeps. Blocks are solved only as
-tightly as the sweep needs: loosely until two sweep energies agree, then once
-more at the final tolerance in one left-to-right polishing half-sweep, as
-TeNPy ties its Lanczos tolerances to the sweeps' convergence (Hauschild and
-Pollmann, SciPost Phys. Lect. Notes 5 (2018)). The sweeps work on a plain
-list of tensors in the centre form (Schollwoeck, Ann. Phys. 326, 96 (2011)):
-each split leaves the centre on the site the sweep moves to. The result is
-handed over as an ``MpsState``, which brings it to the Schmidt form.
+The MPO is the textbook one of the couplings (J, h_x, h_z), of width 3 (2
+at J = 0). The chain is real in the sz basis, so the MPO, start state,
+environments, block solves and splits are all float64. The sweeps are the
+standard ones: cached left/right environments, a smallest-eigenpair solve on
+each two-site block from the halves L.W and W.R (dense up to 32 dims, then a
+numpy Lanczos with full reorthogonalisation and the residual test on a
+schedule), SVD split with truncation, and convergence on the change of the
+block energy across sweeps. Blocks are solved only as tightly as the sweep
+needs: loosely until two sweep energies agree, then once more at the final
+tolerance in one left-to-right polishing half-sweep, as TeNPy ties its Lanczos
+tolerances to the sweeps' convergence (Hauschild and Pollmann, SciPost Phys.
+Lect. Notes 5 (2018)). The sweeps work on a plain list of tensors in the
+centre form (Schollwoeck, Ann. Phys. 326, 96 (2011)): each split leaves the
+centre on the site the sweep moves to. The result is handed over as an
+``MpsState``, which brings it to the Schmidt form.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HamiltonianSpec
+from .model import SX, SZ, HamiltonianParams, HamiltonianSpec
 from .mps import MpsState, TruncationPolicy, _svd, _truncation_rank
 
 _DENSE_SOLVE_DIM = 32
@@ -35,7 +33,6 @@ _LOOSE_SOLVER_TOL = 1e-7
 _MAX_SWEEPS = 30  # full sweeps before the search gives up unconverged
 _ENERGY_TOL = 1e-10  # agreement of sweep energies that ends the search
 _LANCZOS_STEPS = 100  # matvecs per block solve
-_FACTOR_RANK_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,52 +46,24 @@ class GroundStateResult:
     discarded_weight: float  # by the splits of the last half-sweep, which made ``state``
 
 
-def _bond_factors(term: np.ndarray):
-    """Split a two-site operator as term = sum_k A_k (x) B_k; returns the stacks A, B."""
-    u, s, vh = np.linalg.svd(term.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
-    scale = np.sqrt(s[s > _FACTOR_RANK_TOL])
-    rank = len(scale)
-    first = (u[:, :rank] * scale).T.reshape(rank, 2, 2)
-    return first, (scale[:, None] * vh[:rank]).reshape(rank, 2, 2)
+def _ising_mpo(params: HamiltonianParams):
+    """MPO tensors of the chain, legs (left, right, bra phys, ket phys), float64.
 
-
-def _mpo_from_bond_terms(hspec: HamiltonianSpec):
-    """MPO tensors with legs (left, right, bra phys, ket phys).
-
-    Each bond term is split as T = X (x) 1 + 1 (x) Y + R with X = Tr_R(T)/2 -
-    Tr(T)/4 and Y = Tr_L(T)/2, so R has zero partial traces. X and Y join the
-    on-site operator of their site on the ready -> done entry. Internal states
-    per bond: 0 = ready, 1..r = first Kronecker factor of R placed, last =
-    done; the Ising bond has r = 1, so width 3 (2 at J = 0). The tensors
-    are float64 when no bond term has an imaginary part, else complex128.
+    Internal states: 0 = ready, 1 = -J sz placed, last = done, so the bulk
+    tensor is W = [[1, -J sz, -(h_x sx + h_z sz)], [0, 0, sz], [0, 0, 1]]
+    (Schollwoeck, Ann. Phys. 326, 96 (2011)), and width 2 at J = 0. Every
+    site carries its whole field, which is what the bond terms' field weights
+    add up to. The first site keeps the first row, the last the last column.
     """
-    n = hspec.n_sites
-    terms = hspec.bond_terms
-    if not any(np.any(term.imag) for term in terms):
-        terms = [term.real for term in terms]  # a real chain gets a float64 MPO
-    dtype = np.result_type(float, *terms)
-    eye = np.eye(2, dtype=dtype)
-    onsite = np.zeros((n, 2, 2), dtype=dtype)
-    no_factors = (np.zeros((0, 2, 2)),) * 2
-    factors = [no_factors]  # factors[i]: the bond left of site i
-    for i, term in enumerate(terms):
-        t4 = term.reshape(2, 2, 2, 2)
-        x = np.trace(t4, axis1=1, axis2=3) / 2 - np.trace(term) / 4 * eye
-        y = np.trace(t4, axis1=0, axis2=2) / 2
-        onsite[i] += x
-        onsite[i + 1] += y
-        factors.append(_bond_factors(term - np.kron(x, eye) - np.kron(eye, y)))
-    factors.append(no_factors)
-    tensors = []
-    for i in range(n):
-        (_, left), (right, _) = factors[i], factors[i + 1]
-        w = np.zeros((len(left) + 2, len(right) + 2, 2, 2), dtype=dtype)
-        w[0, 0] = w[-1, -1] = eye
-        w[0, -1] = onsite[i]
-        w[0, 1:-1] = right
-        w[1:-1, -1] = left
-        tensors.append(w[:1] if i == 0 else w[:, -1:] if i == n - 1 else w)  # start ready, end done
-    return tensors
+    sx, sz = SX.real, SZ.real
+    width = 2 if params.coupling == 0.0 else 3
+    w = np.zeros((width, width, 2, 2))
+    w[0, 0] = w[-1, -1] = np.eye(2)
+    w[0, -1] = -(params.h_x * sx + params.h_z * sz)
+    if width == 3:
+        w[0, 1] = -params.coupling * sz
+        w[1, 2] = sz
+    return [w[:1]] + [w] * (params.n_sites - 2) + [w[:, -1:]]
 
 
 def _contract_left(env, site, w):
@@ -201,18 +170,15 @@ def _split_pair(tensors, i, theta, policy, center_side) -> float:
     return discarded
 
 
-def _initial_tensors(hspec: HamiltonianSpec, seed: int, dtype) -> list:
-    """Site tensors of a random product state in ``dtype``; tilted towards spin-up in
-    the symmetric ordered phase so the search lands on one symmetry-broken branch
+def _initial_tensors(params: HamiltonianParams, seed: int) -> list:
+    """Site tensors of a random real product state; tilted towards spin-up in the
+    symmetric ordered phase so the search lands on one symmetry-broken branch
     deterministically."""
-    params = hspec.params
-    rng = random.Random(seed)  # stdlib: 4 draws a site at most do not pay numpy's generator import
+    rng = random.Random(seed)  # stdlib: 2 draws a site do not pay numpy's generator import
     tilt = params.h_z == 0.0 and abs(params.coupling) > abs(params.h_x)
     local = []
     for _ in range(params.n_sites):
         v = np.array([rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
-        if dtype == complex:
-            v = v + 1j * np.array([rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
         if tilt:
             v = np.array([1.0, 0.2]) + 0.05 * v
         local.append((v / np.linalg.norm(v)).reshape(1, 2, 1))
@@ -236,12 +202,12 @@ def ground_state(
     the expectation value of the returned ``MpsState``.
     """
     n = hspec.n_sites
-    mpo = _mpo_from_bond_terms(hspec)
-    tensors = _initial_tensors(hspec, seed, mpo[0].dtype)
+    mpo = _ising_mpo(hspec.params)
+    tensors = _initial_tensors(hspec.params, seed)
 
     left_env = [None] * n
     right_env = [None] * n
-    boundary = np.ones((1, 1, 1), dtype=mpo[0].dtype)
+    boundary = np.ones((1, 1, 1))
     left_env[0] = boundary
     right_env[n - 1] = boundary
     for i in range(n - 1, 0, -1):

@@ -9,24 +9,24 @@ nearest-neighbour bond terms: an interior site contributes half of its field
 to each adjacent bond, a boundary site contributes its full field to its only
 bond, so the bond terms sum back to H exactly.
 
-Bond terms are generic 4x4 Hermitian matrices; the Ising case is just the
-instance built by :func:`build_hamiltonian`. Trotter gates are exact matrix
-exponentials of the bond terms (eigendecomposition of a 4x4 Hermitian),
-stacked per layer in the form the MPS gate path applies.
+A ``HamiltonianSpec`` holds the couplings and derives the bond terms from
+them, so the two cannot disagree: DMRG builds its MPO from the couplings,
+the gates and ``MpsState.energy`` read the bond terms. Trotter gates are
+exact matrix exponentials of the bond terms (eigendecomposition of a 4x4
+Hermitian), stacked per layer in the form the MPS gate path applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import numbers
 
 import numpy as np
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-
-HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,9 @@ class HamiltonianParams:
     n_sites: int
 
     def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValueError(f"need at least one site, got n_sites={self.n_sites}")
+        n = self.n_sites
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_sites must be an integer >= 1, got {n!r}")
         for name in ("coupling", "h_x", "h_z"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -53,24 +54,33 @@ class HamiltonianParams:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
-    """A chain Hamiltonian as an ordered list of two-site bond terms.
+    """The chain's couplings and the two-site bond terms derived from them.
 
-    ``bond_terms[b]`` acts on sites (b, b+1); each term is Hermitian.
+    ``bond_terms[b]`` acts on sites (b, b+1). Field weights: 1/2 per adjacent
+    bond for interior sites, full weight for the two boundary sites, so the
+    embedded sum of bond terms equals H.
     """
 
     params: HamiltonianParams
-    bond_terms: tuple = field(repr=False)
+    bond_terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.bond_terms) != self.params.n_sites - 1:
-            raise ValueError(
-                f"expected {self.params.n_sites - 1} bond terms, got {len(self.bond_terms)}"
+        params, n = self.params, self.params.n_sites
+        if n < 2:
+            raise ValueError(f"bond terms need at least two sites, got n_sites={n}")
+        terms = []
+        for b in range(n - 1):
+            w_left = 1.0 if b == 0 else 0.5
+            w_right = 1.0 if b + 1 == n - 1 else 0.5
+            left_field = w_left * (params.h_x * SX + params.h_z * SZ)
+            right_field = w_right * (params.h_x * SX + params.h_z * SZ)
+            term = (
+                -params.coupling * np.kron(SZ, SZ)
+                - np.kron(left_field, ID2)
+                - np.kron(ID2, right_field)
             )
-        for b, term in enumerate(self.bond_terms):
-            if term.shape != (4, 4):
-                raise ValueError(f"bond term {b} has shape {term.shape}, expected (4, 4)")
-            if np.max(np.abs(term - term.conj().T)) > HERMITICITY_TOL:
-                raise ValueError(f"bond term {b} is not Hermitian")
+            terms.append(term)
+        object.__setattr__(self, "bond_terms", tuple(terms))
 
     @property
     def n_sites(self) -> int:
@@ -78,27 +88,8 @@ class HamiltonianSpec:
 
 
 def build_hamiltonian(params: HamiltonianParams) -> HamiltonianSpec:
-    """Compile the mixed-field Ising chain into per-bond 4x4 Hermitian terms.
-
-    Field weights: 1/2 per adjacent bond for interior sites, full weight for
-    the two boundary sites, so the embedded sum of bond terms equals H.
-    """
-    n = params.n_sites
-    if n < 2:
-        raise ValueError(f"bond terms need at least two sites, got n_sites={n}")
-    terms = []
-    for b in range(n - 1):
-        w_left = 1.0 if b == 0 else 0.5
-        w_right = 1.0 if b + 1 == n - 1 else 0.5
-        left_field = w_left * (params.h_x * SX + params.h_z * SZ)
-        right_field = w_right * (params.h_x * SX + params.h_z * SZ)
-        term = (
-            -params.coupling * np.kron(SZ, SZ)
-            - np.kron(left_field, ID2)
-            - np.kron(ID2, right_field)
-        )
-        terms.append(term)
-    return HamiltonianSpec(params=params, bond_terms=tuple(terms))
+    """The mixed-field Ising chain of ``params`` with its per-bond 4x4 Hermitian terms."""
+    return HamiltonianSpec(params)
 
 
 def _bond_exponential(term: np.ndarray, dt: float) -> np.ndarray:

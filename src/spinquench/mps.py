@@ -137,8 +137,8 @@ class MpsState:
     ``schmidt_values`` holds one array per cut j = 0..N: the unit-norm
     singular values across the cut left of site j (``[1]`` at both ends), and
     every tensor is a right isometry. The constructor gives the tensors one
-    dtype: float64 when all are real, else complex128. A ground state of a
-    real chain stays real; the first gate makes the tensors it writes complex.
+    dtype: float64 when all are real, else complex128. A DMRG ground state is
+    real; the first gate makes the tensors it writes complex.
 
     A ``mirrored`` state (made by ``mirror_half``) stands for a mirror-symmetric
     chain of ``n_sites`` = 2 h sites and holds only its right half: ``tensors``
@@ -405,10 +405,9 @@ class MpsState:
     def energy(self, hspec: HamiltonianSpec) -> float:
         """Sum of bond-term expectations, one ``_block`` of two sites per bond.
 
-        A ``mirrored`` state reads the bonds from the middle one on: each
-        right-half bond once for its own term and its mirror bond's, swapped;
-        for a mirror-symmetric chain that is twice the right half's bond
-        energies plus the middle bond's.
+        A ``mirrored`` state reads the middle bond's term plus twice each
+        right-half bond's: the chain is uniform, so a bond's mirror image
+        holds the same energy.
         """
         if hspec.n_sites != self.n_sites:
             raise ValueError(
@@ -418,9 +417,9 @@ class MpsState:
         half = len(self.tensors) if self.mirrored else 0
         total = 0.0 + 0.0j
         for b in range(max(half - 1, 0), self.n_sites - 1):
-            term = terms[b] + _swapped(terms[2 * half - 2 - b]) if 0 < half <= b else terms[b]
             theta = self._block(b, b + 1)
-            total += np.vdot(theta, term @ theta)
+            weight = 2.0 if 0 < half <= b else 1.0
+            total += weight * np.vdot(theta, terms[b] @ theta)
         # the imaginary part is rounding, which grows with the terms' scale
         if abs(total.imag) > 1e-10 * max(1.0, abs(total)):
             raise ValueError(f"energy has imaginary part {total.imag}")
@@ -463,15 +462,6 @@ def _contract(tensors) -> np.ndarray:
     for t in tensors[1:]:
         block = block.reshape(-1, t.shape[0]) @ t.reshape(t.shape[0], -1)
     return block.reshape(tensors[0].shape[0], -1, tensors[-1].shape[2])
-
-
-# the basis order of a pair with its two sites swapped
-_SWAP = [0, 2, 1, 3]
-
-
-def _swapped(term: np.ndarray) -> np.ndarray:
-    """A 4x4 two-site operator with its sites exchanged."""
-    return term[_SWAP][:, _SWAP]
 
 
 TRUNCATION_MARGIN = 1e-3

@@ -4,25 +4,14 @@ import numpy as np
 import pytest
 
 from spinquench import dmrg
-from spinquench.model import SX, SZ, HamiltonianParams, HamiltonianSpec, build_hamiltonian
-from spinquench.dmrg import ground_state, _bond_factors, _mpo_from_bond_terms
+from spinquench.model import SX, SZ, HamiltonianParams, build_hamiltonian
+from spinquench.dmrg import ground_state, _ising_mpo
 from spinquench.dmrg import _contract_left, _contract_right, _lanczos, _solve_block
 from spinquench.exact import ed_ground_state, ed_hamiltonian
 from spinquench.mps import TruncationPolicy
 
 from free_fermions import ground_energy as free_fermion_energy
 from helpers import local_expectation, to_statevector
-
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-
-def test_bond_factor_decomposition():
-    rng = np.random.default_rng(31)
-    herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    herm = herm + herm.conj().T
-    rebuilt = sum(np.kron(a, b) for a, b in zip(*_bond_factors(herm)))
-    assert np.max(np.abs(rebuilt - herm)) <= 1e-12
-
 
 def mpo_dense(mpo):
     """Contract an MPO over its virtual bonds into a dense matrix."""
@@ -36,42 +25,19 @@ def mpo_dense(mpo):
 
 def test_mpo_contracts_to_hamiltonian():
     rng = np.random.default_rng(17)
-    triples = [(0.9, 0.4, -0.3), (0.0, 0.7, 0.5), (0.0, -1.1, 0.0)] + [
+    triples = [(0.9, 0.4, -0.3), (0.0, 0.7, 0.5), (0.0, -1.1, 0.0), (-0.8, 0.0, 0.3)] + [
         tuple(rng.normal(size=3)) for _ in range(3)
     ]
     for n_sites in range(2, 7):
         for triple in triples:
             params = HamiltonianParams(*triple, n_sites)
-            mpo = _mpo_from_bond_terms(build_hamiltonian(params))
+            mpo = _ising_mpo(params)
+            assert all(w.dtype == np.float64 for w in mpo)
             assert np.max(np.abs(mpo_dense(mpo) - ed_hamiltonian(params))) <= 1e-12
             width = 3 if triple[0] != 0.0 else 2
             assert [w.shape[:2] for w in mpo] == (
                 [(1, width)] + [(width, width)] * (n_sites - 2) + [(width, 1)]
             )
-
-
-def random_spec(n_sites, rng):
-    """A chain of random complex Hermitian bond terms with SY.SY and SX.SZ parts."""
-    terms = []
-    for _ in range(n_sites - 1):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        c = rng.normal(size=2)
-        terms.append(m + m.conj().T + c[0] * np.kron(SY, SY) + c[1] * np.kron(SX, SZ))
-    return HamiltonianSpec(HamiltonianParams(1.0, 0.0, 0.0, n_sites), tuple(terms))
-
-
-def test_mpo_of_generic_bond_terms():
-    rng = np.random.default_rng(19)
-    for n_sites in range(2, 7):
-        spec = random_spec(n_sites, rng)
-        kron_sum = sum(
-            np.kron(np.kron(np.eye(2**b), t), np.eye(2 ** (n_sites - b - 2)))
-            for b, t in enumerate(spec.bond_terms)
-        )
-        mpo = _mpo_from_bond_terms(spec)
-        assert np.max(np.abs(mpo_dense(mpo) - kron_sum)) <= 1e-12
-        # the remainder has zero partial traces, so at most 3 Kronecker factors
-        assert [w.shape[:2] for w in mpo] == [(1, 5)] + [(5, 5)] * (n_sites - 2) + [(5, 1)]
 
 
 def test_decoupled_transverse_chain():
@@ -127,23 +93,10 @@ def test_ground_state_overlaps_dense_one(n_sites):
 
 def test_real_chain_is_solved_in_real_arithmetic():
     spec = build_hamiltonian(HamiltonianParams(1.0, 1.0, 0.3, 10))
-    assert all(w.dtype == np.float64 for w in _mpo_from_bond_terms(spec))
+    assert all(w.dtype == np.float64 for w in _ising_mpo(spec.params))
     result = ground_state(spec, seed=3)
     assert all(t.dtype == np.float64 for t in result.state.tensors)
     assert abs(result.energy - ed_ground_state(spec.params)[1]) <= 1e-9
-
-
-def test_complex_chain_stays_complex():
-    spec = random_spec(6, np.random.default_rng(23))
-    assert all(w.dtype == np.complex128 for w in _mpo_from_bond_terms(spec))
-    result = ground_state(spec, seed=3)
-    assert result.converged
-    assert all(t.dtype == np.complex128 for t in result.state.tensors)
-    dense = sum(
-        np.kron(np.kron(np.eye(2**b), t), np.eye(2 ** (6 - b - 2)))
-        for b, t in enumerate(spec.bond_terms)
-    )
-    assert abs(result.energy - np.linalg.eigvalsh(dense)[0]) <= 1e-9
 
 
 # the pre-quench states of the benchmark workloads: (J, h_x, h_z), sites,
@@ -312,13 +265,14 @@ def test_lanczos_out_of_iterations_returns_variational_pair():
 
 
 def _random_block(a, b, seed):
-    """Sites 2 and 3 of a random 6-site MPS under a random generic MPO.
+    """Sites 2 and 3 of a random complex 6-site MPS under the MPO of random couplings.
 
     Returns the environments, the two MPO tensors, a start block and the
-    dense effective Hamiltonian, which is Hermitian for any MPS tensors.
+    dense effective Hamiltonian, which is Hermitian for any MPS tensors; the
+    complex sites make it complex, so the solves take the complex path.
     """
     rng = np.random.default_rng(seed)
-    mpo = _mpo_from_bond_terms(random_spec(6, rng))
+    mpo = _ising_mpo(HamiltonianParams(*rng.normal(size=3), 6))
 
     def site(dl, dr):
         return rng.normal(size=(dl, 2, dr)) + 1j * rng.normal(size=(dl, 2, dr))

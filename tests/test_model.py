@@ -6,6 +6,7 @@ import scipy.linalg as sla
 
 from spinquench.model import (
     HamiltonianParams,
+    HamiltonianSpec,
     SX,
     SZ,
     build_hamiltonian,
@@ -33,11 +34,25 @@ def test_params_validation():
         HamiltonianParams(float("nan"), 0.0, 0.0, 4)
     with pytest.raises(ValueError):
         HamiltonianParams(1.0, float("inf"), 0.0, 4)
+    for n_sites in (2.5, True):
+        with pytest.raises(ValueError, match="n_sites must be an integer"):
+            HamiltonianParams(1.0, 0.0, 0.0, n_sites)
 
 
 def test_build_rejects_single_site():
     with pytest.raises(ValueError):
         build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.0, 1))
+
+
+def test_spec_derives_its_terms_from_its_params():
+    params = HamiltonianParams(-0.7, 0.4, 0.9, 6)
+    spec, built = HamiltonianSpec(params), build_hamiltonian(params)
+    assert spec.params == built.params and spec.n_sites == 6
+    assert len(spec.bond_terms) == len(built.bond_terms) == 5
+    for term, reference in zip(spec.bond_terms, built.bond_terms):
+        assert np.array_equal(term, reference)
+    with pytest.raises(TypeError):
+        HamiltonianSpec(params, spec.bond_terms)  # terms cannot be passed in
 
 
 def test_two_site_spectra():
