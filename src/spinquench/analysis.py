@@ -164,10 +164,10 @@ class ExtremaReport:
 def extrema_gaps(xs, ys, kind: str, smoothing_window: int = 1) -> ExtremaReport:
     """Consecutive spacing of local extrema of a uniformly sampled series.
 
-    An optional centered moving average (``smoothing_window`` samples) is
-    applied first; extrema are strict neighbour comparisons and endpoints are
-    never counted. With fewer than two extrema the mean gap is undefined
-    (``mean_gap = None``).
+    An optional centered moving average (``smoothing_window`` samples, at most
+    the series' length) is applied first; extrema are strict neighbour
+    comparisons and endpoints are never counted. With fewer than two extrema
+    the mean gap is undefined (``mean_gap = None``).
     """
     if kind not in ("minima", "maxima"):
         raise ValueError(f"kind must be 'minima' or 'maxima', got {kind!r}")
@@ -180,8 +180,8 @@ def extrema_gaps(xs, ys, kind: str, smoothing_window: int = 1) -> ExtremaReport:
     gaps_x = np.diff(xs)
     if np.max(np.abs(gaps_x - gaps_x[0])) > _SPACING_TOL * max(1.0, abs(gaps_x[0])):
         raise ValueError("xs must be uniformly spaced")
-    if smoothing_window < 1:
-        raise ValueError("smoothing_window must be at least 1")
+    if not 1 <= smoothing_window <= len(ys):
+        raise ValueError(f"smoothing_window must be 1 to {len(ys)} samples, got {smoothing_window}")
     if smoothing_window > 1:
         kernel = np.full(smoothing_window, 1.0 / smoothing_window)
         ys = np.convolve(ys, kernel, mode="valid")

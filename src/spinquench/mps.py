@@ -37,6 +37,16 @@ middle one, so one reader (``MpsState._block``) contracts any block of
 either for the block states, bond energies and the middle gate.
 ``tebd.evolve`` takes this path for every mirror-symmetric start state of
 an even chain.
+
+Near the chain's end a cut holds at most 2**(sites right of it) values, so
+the last sites can be held exactly (Schollwoeck, Ann. Phys. 326, 96 (2011)).
+Once the last m held sites' space is full, they are one tensor, the *tail*,
+of legs (chi, 2, 2**(m-1)): its first site's right isometry, whose right leg
+is the exact space of the m-1 sites after it (``MpsState._grow_tail``, which
+``tebd.evolve`` calls; the first held site stays its own tensor). A gate inside the tail is one product on it and
+discards nothing; the bond at its left cut splits like any other, the tail
+acting as a site tensor with a wide right leg, and the reader folds the
+tail's sites outside a block into its bond legs.
 """
 
 from __future__ import annotations
@@ -70,10 +80,10 @@ class TruncationPolicy:
     chi_max: int = 50
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be non-negative, got {self.cutoff}")
-        if self.chi_max < 1:
-            raise ValueError(f"chi_max must be at least 1, got {self.chi_max}")
+        if not 0 <= self.cutoff < np.inf:
+            raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
+        if isinstance(self.chi_max, bool) or not isinstance(self.chi_max, int) or self.chi_max < 1:
+            raise ValueError(f"chi_max must be an integer of at least 1, got {self.chi_max!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +156,11 @@ class MpsState:
     which are those of cut h - j too. ``apply_two_site_gate`` numbers the
     tensors it holds, every other method the sites and bonds of the whole
     chain.
+
+    A *tailed* state (grown by ``_grow_tail``) holds its last m sites as one
+    tensor of legs (chi, 2, 2**(m-1)), and ``schmidt_values`` has no entries
+    for the cuts inside it. It stays in the Schmidt form, so ``copy`` keeps
+    the tail and ``canonicalize`` and ``mirror_half`` refuse it.
     """
 
     mirrored = False
@@ -169,11 +184,20 @@ class MpsState:
 
     @property
     def n_sites(self) -> int:
-        return 2 * len(self.tensors) if self.mirrored else len(self.tensors)
+        held = len(self.tensors) + self._tail_sites - 1
+        return 2 * held if self.mirrored else held
+
+    @property
+    def _tail_sites(self) -> int:
+        """Sites the last tensor holds: 1, or m for a tail of legs (chi, 2, 2**(m-1))."""
+        return self.tensors[-1].shape[2].bit_length()
 
     @property
     def bond_dims(self):
+        # a cut inside the tail reports 2**(sites right of it), full when the tail took it
+        width = self.tensors[-1].shape[2]
         dims = [t.shape[2] for t in self.tensors[:-1]]
+        dims += [width >> j for j in range(self._tail_sites - 1)]
         return [*dims[::-1], self.tensors[0].shape[0], *dims] if self.mirrored else dims
 
     def copy(self) -> "MpsState":
@@ -188,7 +212,8 @@ class MpsState:
         """The right half of this state as a ``mirrored`` state, or None.
 
         None when the chain is odd or the state is not mirror-symmetric; a
-        ``mirrored`` state gives a copy of itself. The test reads the overlaps
+        ``mirrored`` state gives a copy of itself, and a tailed one raises
+        ``ValueError``. The test reads the overlaps
         C[k, k'] = <mirror(R_k) | L_k'> of the mirrored right Schmidt vectors
         R_k with the left half's weighted Schmidt vectors L_k', contracted
         pairwise from both ends in. For a mirror-symmetric state C is complex
@@ -198,6 +223,8 @@ class MpsState:
         (C + C^T)/2 = U diag(s) U^T fold into the middle tensor (U^T B), and s,
         renormalised, become the middle Schmidt values.
         """
+        if self._tail_sites > 1:
+            raise ValueError("a tailed state cannot be mirrored")
         if self.mirrored:
             return self.copy()
         n = self.n_sites
@@ -226,11 +253,12 @@ class MpsState:
 
         One QR sweep to the last site, then one SVD sweep back that leaves
         right isometries behind and records each cut's singular values.
-        Nothing is truncated. A ``mirrored`` state is refused: its gates keep
-        it in the Schmidt form.
+        Nothing is truncated. A ``mirrored`` or tailed state is refused: its
+        gates keep it in the Schmidt form.
         """
-        if self.mirrored:
-            raise ValueError("a mirrored state is kept in the Schmidt form by its gates")
+        if self.mirrored or self._tail_sites > 1:
+            kind = "mirrored" if self.mirrored else "tailed"
+            raise ValueError(f"a {kind} state is kept in the Schmidt form by its gates")
         n = self.n_sites
         for i in range(n - 1):
             dl, d, dr = self.tensors[i].shape
@@ -247,6 +275,21 @@ class MpsState:
         self.tensors[0] = self.tensors[0] / np.linalg.norm(self.tensors[0])
         self.schmidt_values = values
         return self
+
+    def _grow_tail(self, chi_max: int) -> None:
+        """Let the tail absorb the tensor to its left while its m sites' space is
+        full (its left cut has dimension 2**m) and 2**(m+1) <= ``chi_max``, so no
+        cut inside it could ever be truncated. The tail never shrinks, and never
+        takes the first held tensor: every layer that holds the bond right of
+        it splits that bond by ``apply_two_site_gate``, whose calls the
+        benchmark's traced runs count on every workload."""
+        while len(self.tensors) > 2:
+            m = self._tail_sites
+            if self.tensors[-1].shape[0] != 2**m or 2 ** (m + 1) > chi_max:
+                return
+            pair = _contract(self.tensors[-2:])
+            self.tensors[-2:] = [pair.reshape(pair.shape[0], 2, -1)]
+            del self.schmidt_values[-2]
 
     # -- updates -------------------------------------------------------------
 
@@ -286,9 +329,11 @@ class MpsState:
         share a shape (dl, chi, dr) go through one stacked contraction, gate
         product and batched split (``_schmidt_split``), the others through
         ``apply_two_site_gate``, for which stacking costs more than it saves.
-        Tensors, Schmidt values and the weight (summed in the order of
-        ``bonds``) are bit for bit those of ``apply_two_site_gate`` on each
-        bond in turn.
+        On an untailed state, tensors, Schmidt values and the weight (summed
+        in the order of ``bonds``) are bit for bit those of
+        ``apply_two_site_gate`` on each bond in turn. A gate on a bond inside
+        the tail is one product on the tail reshaped to (chi 2**j, 4,
+        2**(m-j-2)), j the bond's place in it; it discards nothing.
 
         A ``mirrored`` state takes the whole chain's layer too, mapped onto
         the half here alone. The layer must be its own mirror image (gate b is
@@ -305,11 +350,16 @@ class MpsState:
             last = i
         # a mirrored state holds the chain's sites from h on as tensors 0 on: its
         # middle bond is -1, and the mirror images left of it are skipped
-        offset = len(self.tensors) if self.mirrored else 0
+        offset = self.n_sites // 2 if self.mirrored else 0
         sites = [i - offset for i in bonds]
+        tail = len(self.tensors) - 1
         groups, middle = {}, 0.0
         for k, i in enumerate(sites):
-            if i >= 0:
+            if i >= tail:  # inside the tail: one exact product, nothing to split
+                t = self.tensors[-1]
+                pairs = t.reshape(t.shape[0] << (i - tail), 4, -1)
+                self.tensors[-1] = (gates[k] @ pairs).reshape(t.shape)
+            elif i >= 0:
                 shape = (*self.tensors[i].shape, self.tensors[i + 1].shape[2])
                 groups.setdefault(shape, []).append(k)
             elif i == -1:
@@ -341,7 +391,7 @@ class MpsState:
         """
         if not self.mirrored:
             raise ValueError("the middle-bond gate needs a mirrored state")
-        half = len(self.tensors)
+        half = self.n_sites // 2
         phi = gate @ self._block(half - 1, half)  # (r, 4, r)
         dr = phi.shape[0]
         # rows: site h-1 and its bond; columns: site h and its bond
@@ -414,7 +464,7 @@ class MpsState:
                 f"Hamiltonian has {hspec.n_sites} sites, state has {self.n_sites}"
             )
         terms = hspec.bond_terms
-        half = len(self.tensors) if self.mirrored else 0
+        half = self.n_sites // 2 if self.mirrored else 0
         total = 0.0 + 0.0j
         for b in range(max(half - 1, 0), self.n_sites - 1):
             theta = self._block(b, b + 1)
@@ -431,21 +481,40 @@ class MpsState:
         Both kinds of state are mixed-canonical about a centre cut h: left
         isometries, that cut's Schmidt values, then right isometries
         (Schollwoeck, Ann. Phys. 326, 96 (2011)). The Schmidt form has h = 0; a
-        ``mirrored`` state has the middle cut, and its site g < h is tensor
-        h-1-g with its bond legs swapped. So the block is its sites' tensors
-        with the values of its cut nearest the centre scaled in, and m m^H of
-        it, m its physical index against both bonds, is the block's state.
+        ``mirrored`` state has the middle cut, and its site g < h is the held
+        site h-1-g read from its other end (``_mirror``). So the block is its
+        sites' tensors (``_run``) with the values of its cut nearest the centre
+        scaled in, and m m^H of it, m its physical index against both bonds, is
+        the block's state.
         """
-        half = len(self.tensors) if self.mirrored else 0
-        run = [self.tensors[g - half] if g >= half else self.tensors[half - 1 - g].transpose(2, 1, 0)
-               for g in range(first, last + 1)]
-        cut = min(max(half, first), last + 1)
-        values = self.schmidt_values[abs(cut - half)]
-        if cut <= last:
-            run[cut - first] = values[:, None, None] * run[cut - first]
-        else:
-            run[-1] = run[-1] * values
+        half = self.n_sites // 2 if self.mirrored else 0
+        run = []
+        if first < half:  # the mirror images of held sites half-1-last .. half-1-first
+            held = self._run(max(half - 1 - last, 0), half - first, last < half)
+            run = [_mirror(t) for t in reversed(held)]
+        if last >= half:
+            run += self._run(max(first - half, 0), last + 1 - half, True)
         return _contract(run)
+
+    def _run(self, start, stop, scaled) -> list:
+        """The tensors of held sites start..stop-1, counted from the centre cut,
+        with legs (l, 2**s, r): the tail, reshaped, holds its sites in the range
+        on its physical leg and its others in its bond legs. ``scaled`` scales
+        the values of the cut left of ``start`` into the first tensor."""
+        tail = len(self.tensors) - 1
+        run = self.tensors[min(start, tail):min(stop, tail + 1)]
+        if scaled:
+            run[0] = self.schmidt_values[min(start, tail)][:, None, None] * run[0]
+        if stop > tail:
+            before = max(start - tail, 0)
+            run[-1] = run[-1].reshape(run[-1].shape[0] << before, 2 ** (stop - tail - before), -1)
+        return run
+
+
+def _mirror(t) -> np.ndarray:
+    """A run tensor (l, 2**s, r) read from its other end: legs (r, 2**s, l), sites reversed."""
+    l, d, r = t.shape
+    return t.reshape(l, *[2] * (d.bit_length() - 1), r).T.reshape(r, d, l)
 
 
 def _block_sites(sites, n_sites: int) -> tuple:

@@ -14,6 +14,10 @@ A snapshot keeps each block's Hermitian matrix unchecked; when the run ends,
 each block size's matrices become one stacked ``DensityMatrix``, validated by
 one batched check and eigensolve.
 
+Before the first step and after each one, the copy's last sites join its
+exact tail while their cuts are full and ``chi_max`` could not bind inside it
+(``MpsState._grow_tail``); gates inside the tail need no split.
+
 The post-quench chain is uniform (``build_hamiltonian``), so every layer is
 its own mirror image. When the start state of an even chain is
 mirror-symmetric too (``MpsState.mirror_half``), the same loop evolves the
@@ -167,12 +171,14 @@ def evolve(initial: MpsState, protocol: QuenchProtocol) -> EvolutionRecord:
 
     if not snapshot(0):
         raise ValueError("initial state has non-finite values")
+    state._grow_tail(policy.chi_max)
 
     for step in range(1, n_steps + 1):
         step_discarded = 0.0
         for bonds, gates in layers:
             step_discarded += state.apply_gate_layer(bonds, gates, policy)
         total_discarded += step_discarded
+        state._grow_tail(policy.chi_max)
 
         if max(state.bond_dims) >= policy.chi_max and step_discarded > _STALL_FACTOR * policy.cutoff:
             stalled_steps += 1

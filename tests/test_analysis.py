@@ -261,6 +261,9 @@ def test_extrema_input_validation():
         extrema_gaps(np.array([0, 1, 3.0, 4]), np.zeros(4), "maxima")
     with pytest.raises(ValueError):
         extrema_gaps(xs, xs, "maxima", smoothing_window=0)
+    # a window longer than the series: numpy's 'valid' convolution would swap its arguments
+    with pytest.raises(ValueError, match="smoothing_window"):
+        extrema_gaps(xs, xs, "maxima", smoothing_window=7)
 
 
 def test_series_validation():

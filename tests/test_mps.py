@@ -327,6 +327,13 @@ def test_truncation_policy_validation():
         TruncationPolicy(cutoff=-1e-9)
     with pytest.raises(ValueError):
         TruncationPolicy(chi_max=0)
+    # a NaN cutoff would keep every value, a chi_max of 2.5 fail in the rank rule
+    for cutoff in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="cutoff"):
+            TruncationPolicy(cutoff=cutoff)
+    for chi_max in (2.5, True):
+        with pytest.raises(ValueError, match="chi_max"):
+            TruncationPolicy(chi_max=chi_max)
 
 
 def random_gate(rng, strength=0.3):
@@ -938,3 +945,98 @@ def test_middle_gate_truncates_by_the_rank_rule(monkeypatch):
 
 def test_middle_gate_truncates_by_the_rank_rule_at_16_sites(monkeypatch):
     check_middle_gate_truncation(16, monkeypatch)
+
+
+def tailed(state, chi_max):
+    """A copy of ``state`` with its tail grown under ``chi_max``."""
+    twin = state.copy()
+    twin._grow_tail(chi_max)
+    return twin
+
+
+# a random state of full bond dimension: the cut left of site c has 2**min(c, N - c)
+# values, so a tail of m sites takes the site to its left while m <= N/2
+@pytest.mark.parametrize("n_sites, chi_max, tail", (
+    (4, 4, 2), (4, 4096, 3), (8, 8, 3), (8, 4096, 5), (9, 8, 3), (9, 4096, 5),
+))
+def test_tail_reads_like_the_untailed_state(n_sites, chi_max, tail):
+    full = random_state(n_sites, 2**n_sites, np.random.default_rng(55))
+    twin = tailed(full, chi_max)
+    assert twin._tail_sites == tail and len(twin.tensors) == n_sites - tail + 1
+    assert twin.tensors[-1].shape[1:] == (2, 2 ** (tail - 1))
+    assert_reads_like(twin, full, 1e-12)
+
+
+# on a symmetric state of full bond dimension the tail grows up to the site
+# next to the middle, which it never takes
+@pytest.mark.parametrize("n_sites, chi_max, tail", (
+    (4, 4096, 1), (8, 4, 2), (8, 4096, 3), (10, 8, 3), (10, 4096, 4),
+))
+def test_mirrored_tail_reads_like_the_whole_state(n_sites, chi_max, tail):
+    full, _ = symmetric_state(np.random.default_rng(57), n_sites)
+    half = tailed(full.mirror_half(), chi_max)
+    assert half.mirrored and half._tail_sites == tail
+    assert len(half.tensors) == n_sites // 2 - tail + 1
+    assert_reads_like(half, full, 1e-12)
+
+
+def test_tail_grows_over_full_cuts_within_chi_max():
+    rng = np.random.default_rng(59)
+    full = random_state(8, 256, rng)
+    for chi_max, tail in ((1, 1), (3, 1), (4, 2), (7, 2), (8, 3), (16, 4), (32, 5), (4096, 5)):
+        assert tailed(full, chi_max)._tail_sites == tail
+    # bonds capped at 2: the last site's cut is full, the one left of the pair is not
+    assert tailed(random_state(8, 2, rng), 4096)._tail_sites == 2
+    assert tailed(all_plus_state(8), 4096)._tail_sites == 1
+    # the first held tensor is never taken, though its right cut is full
+    assert tailed(random_state(2, 2, rng), 4096)._tail_sites == 1
+    # the tail never shrinks
+    twin = tailed(full, 4096)
+    twin._grow_tail(2)
+    assert twin._tail_sites == 5
+
+
+def test_tail_gates_match_the_untailed_layer():
+    rng = np.random.default_rng(61)
+    policy = TruncationPolicy(cutoff=0.0, chi_max=4096)
+    full = random_state(9, 512, rng)
+    twin = tailed(full, policy.chi_max)  # sites 4..8
+    # bond 3 splits the tail's left cut, bonds 5 and 7 lie inside it
+    for bonds in ((0, 2, 4, 6), (1, 3, 5, 7), (3, 5, 7)):
+        gates = np.stack([random_gate(rng, strength=0.8) for _ in bonds])
+        assert twin.apply_gate_layer(bonds, gates, policy) == 0.0
+        assert full.apply_gate_layer(bonds, gates, policy) == 0.0
+    assert twin._tail_sites == 5
+    assert_reads_like(twin, full, 1e-12)
+    # a mirrored state: the tail holds sites 5..7, bond 4 splits its left cut,
+    # bonds 5 and 6 lie inside it, and bonds 1..3 are their mirror images
+    whole, _ = symmetric_state(rng, 8)
+    half = tailed(whole.mirror_half(), policy.chi_max)
+    assert half._tail_sites == 3
+    for _ in range(2):
+        left, inner = random_gate(rng, strength=0.8), random_gate(rng, strength=0.8)
+        layer = (0, 2, 4, 6)
+        gates = np.stack([SWAP @ inner @ SWAP, SWAP @ left @ SWAP, left, inner])
+        assert half.apply_gate_layer(layer, gates, policy) == 0.0
+        assert whole.apply_gate_layer(layer, gates, policy) == 0.0
+        layer, gates = (1, 3, 5), np.stack([SWAP @ inner @ SWAP, swap_symmetric_gate(rng), inner])
+        assert half.apply_gate_layer(layer, gates, policy) == 0.0
+        assert whole.apply_gate_layer(layer, gates, policy) == 0.0
+    assert half._tail_sites == 3
+    assert_reads_like(half, whole, 1e-12)
+
+
+def test_tail_is_copied_and_refuses_regauging():
+    rng = np.random.default_rng(63)
+    full = random_state(8, 256, rng)
+    twin = tailed(full, 4096)
+    copy = twin.copy()
+    assert copy._tail_sites == 5 and copy.bond_dims == full.bond_dims
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(copy.tensors, twin.tensors))
+    half = tailed(symmetric_state(rng, 8)[0].mirror_half(), 4096)
+    assert half.copy()._tail_sites == 3 and half.copy().mirrored
+    for state in (twin, half):
+        with pytest.raises(ValueError, match="tailed state cannot be mirrored"):
+            state.mirror_half()
+    with pytest.raises(ValueError, match="tailed state is kept in the Schmidt form"):
+        twin.canonicalize()

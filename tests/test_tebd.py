@@ -294,9 +294,12 @@ def test_evolve_stacks_gates_and_matches_per_gate_record(monkeypatch):
     gates_applied = len(calls)
 
     # the product state is mirror-symmetric: the right half's bonds 10..18 go
-    # through the layers, the middle bond 9 through its own split
+    # through the layers, the middle bond 9 through its own split. The tail
+    # holds sites 18, 19 in steps 2-36 and sites 17-19 in steps 37-50, and the
+    # bonds inside it take no split: bond 18 in the two odd layers, bond 17 in
+    # the even one
     assert stacked.evolution_path == "mirror-half"
-    assert gates_applied == 50 * (5 + 4 + 5)
+    assert gates_applied == 50 * (5 + 4 + 5) - 35 * 2 - 14 * 3
     assert stacked_calls < gates_applied
     assert max(stacked.max_bond) > 1
     assert stacked.max_bond == reference.max_bond
@@ -322,7 +325,7 @@ def test_non_finite_state_ends_in_a_flagged_record(monkeypatch):
     def poisoning(self, bonds, gates, policy):
         layers_applied.append(bonds)
         if len(layers_applied) == 45:  # in step 15, after the snapshot at t = 0.1
-            self.tensors[9] = np.full_like(self.tensors[9], np.nan)
+            self.tensors[-1] = np.full_like(self.tensors[-1], np.nan)
         return original(self, bonds, gates, policy)
 
     monkeypatch.setattr(MpsState, "apply_gate_layer", poisoning)
@@ -382,7 +385,8 @@ def test_half_path_matches_dense_reference(n_sites, bound):
 
 def full_path_reference(initial, protocol, hspec):
     """The record as the chain-wide loop makes it: every layer on a copy of the
-    whole state, snapshots of energy, bonds, discards and blocks."""
+    whole state, its tail grown before the first step and after each one,
+    snapshots of energy, bonds, discards and blocks."""
     state = initial.copy()
     layers = build_trotter_gates(hspec, protocol.tau)
     energies, bonds, discarded, blocks = [], [], [], {ell: [] for ell in protocol.subsystem_sizes}
@@ -396,11 +400,13 @@ def full_path_reference(initial, protocol, hspec):
             blocks[ell].append(state.rdm(centered_block(state.n_sites, ell)))
 
     snapshot()
+    state._grow_tail(protocol.policy.chi_max)
     for step in range(1, round(protocol.t_max / protocol.tau) + 1):
         step_discarded = 0.0
         for layer_bonds, gates in layers:
             step_discarded += state.apply_gate_layer(layer_bonds, gates, policy=protocol.policy)
         total += step_discarded
+        state._grow_tail(protocol.policy.chi_max)
         if step % protocol.record_stride == 0:
             snapshot()
     return energies, bonds, discarded, blocks
