@@ -29,6 +29,11 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
+def is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool: what the package's counts take."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HamiltonianParams:
     """Couplings of the mixed-field Ising chain.
@@ -44,7 +49,7 @@ class HamiltonianParams:
 
     def __post_init__(self):
         n = self.n_sites
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        if not is_integer(n) or n < 1:
             raise ValueError(f"n_sites must be an integer >= 1, got {n!r}")
         for name in ("coupling", "h_x", "h_z"):
             value = getattr(self, name)

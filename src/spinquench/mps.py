@@ -29,24 +29,24 @@ symmetric and is re-split by a truncated Takagi factorisation
 (``_takagi_split``), so the form is kept and no Schmidt value is inverted.
 It takes the block's values and right vectors from ``_schmidt_split``, by
 the one Gram-or-SVD rule above, and one phase per column from one more
-product. Only blocks whose phases miss the budget (degenerate kept values,
-often at cutoff 0) and blocks holding NaN or inf fall back to one real
-``eigh`` of the 2n x 2n form (``_takagi``), which ``mirror_half`` uses
-alone. Both kinds of state are mixed-canonical about one cut, cut 0 or the
-middle one, so one reader (``MpsState._block``) contracts any block of
-either for the block states, bond energies and the middle gate.
+product, kept within the budget or its rounding floor. Only degenerate kept
+values and blocks holding NaN or inf fall back to one real ``eigh`` of the
+2n x 2n form (``_takagi``), which ``mirror_half`` uses alone. Both kinds of
+state are mixed-canonical about one cut, cut 0 or the middle one, so one
+reader (``MpsState._block``) contracts any block of either for the block
+states, bond energies and the middle gate.
 ``tebd.evolve`` takes this path for every mirror-symmetric start state of
 an even chain.
 
 Near the chain's end a cut holds at most 2**(sites right of it) values, so
 the last sites can be held exactly (Schollwoeck, Ann. Phys. 326, 96 (2011)).
-Once the last m held sites' space is full, they are one tensor, the *tail*,
-of legs (chi, 2, 2**(m-1)): its first site's right isometry, whose right leg
-is the exact space of the m-1 sites after it (``MpsState._grow_tail``, which
-``tebd.evolve`` calls; the first held site stays its own tensor). A gate inside the tail is one product on it and
-discards nothing; the bond at its left cut splits like any other, the tail
-acting as a site tensor with a wide right leg, and the reader folds the
-tail's sites outside a block into its bond legs.
+Once the cuts between the last m held sites are full and none exceeds
+``chi_max``, they are one tensor, the *tail*, of legs (chi, 2, 2**(m-1)): its
+first site's right isometry, whose right leg is the exact space of the m-1
+sites after it (``MpsState._grow_tail``, which ``tebd.evolve`` calls; the
+first held site stays its own tensor). A gate inside the tail is one product
+on it and discards nothing; the bond at its left cut splits like any other,
+and the reader folds the tail's sites outside a block into its bond legs.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import HamiltonianSpec
+from .model import HamiltonianSpec, is_integer
 
 RDM_SITE_CAP = 6
 
@@ -82,7 +82,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0 <= self.cutoff < np.inf:
             raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
-        if isinstance(self.chi_max, bool) or not isinstance(self.chi_max, int) or self.chi_max < 1:
+        if not is_integer(self.chi_max) or self.chi_max < 1:
             raise ValueError(f"chi_max must be an integer of at least 1, got {self.chi_max!r}")
 
 
@@ -278,14 +278,13 @@ class MpsState:
 
     def _grow_tail(self, chi_max: int) -> None:
         """Let the tail absorb the tensor to its left while its m sites' space is
-        full (its left cut has dimension 2**m) and 2**(m+1) <= ``chi_max``, so no
-        cut inside it could ever be truncated. The tail never shrinks, and never
-        takes the first held tensor: every layer that holds the bond right of
-        it splits that bond by ``apply_two_site_gate``, whose calls the
-        benchmark's traced runs count on every workload."""
+        full (its left cut has dimension 2**m) and 2**m <= ``chi_max``, the largest
+        cut of the grown tail, so ``chi_max`` never binds inside it. The tail
+        never shrinks, and never takes the first held tensor: every layer that
+        holds the bond right of it splits that bond by ``apply_two_site_gate``,
+        whose calls the benchmark's traced runs count on every workload."""
         while len(self.tensors) > 2:
-            m = self._tail_sites
-            if self.tensors[-1].shape[0] != 2**m or 2 ** (m + 1) > chi_max:
+            if not self.tensors[-1].shape[0] == 2**self._tail_sites <= chi_max:
                 return
             pair = _contract(self.tensors[-2:])
             self.tensors[-2:] = [pair.reshape(pair.shape[0], 2, -1)]
@@ -650,16 +649,17 @@ def _takagi_split(m: np.ndarray, policy: TruncationPolicy):
     sqrt(c_k / |c_k|), with phase 1 where c_k = 0. The kept column's residual
     |m conj(u_k) - s_k u_k|^2 = 2 s_k (s_k - |c_k|) is the weight the split
     adds to the block's error beside the dropped values, so ``u`` is kept
-    only when these sum to at most the per-cut budget. Blocks that fail this
-    test (degenerate kept values, whose vectors the split may mix; at cutoff
-    0 any residual above rounding; blocks holding NaN or inf) take the real
-    form (``_takagi``), a NaN block splitting into NaN.
+    only when these sum to at most the per-cut budget, or to the rounding
+    floor ``_GRAM_FLOOR`` n eps below which ``_schmidt_split`` reads it as 0.
+    Degenerate kept values (whose vectors the split may mix) and NaN or inf
+    fail this test and take the real form (``_takagi``), NaN giving NaN.
     """
     s, vh = _schmidt_split(m, policy)
     keep, discarded = _truncation_rank(s, policy)
     s, v = s[:keep], vh[:keep].conj().T
     c = np.sum(v * (m @ v), axis=0)
-    if 2.0 * np.dot(s, s - np.abs(c)) <= policy.cutoff * TRUNCATION_MARGIN:
+    if 2.0 * np.dot(s, s - np.abs(c)) <= max(policy.cutoff * TRUNCATION_MARGIN,
+                                             _GRAM_FLOOR * len(m) * _EPS):
         return v.conj() * np.exp(0.5j * np.angle(c)), s, discarded
     u, s = _takagi(m)
     keep, discarded = _truncation_rank(s, policy)

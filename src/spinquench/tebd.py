@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .model import HamiltonianParams, build_hamiltonian, build_trotter_gates
+from .model import HamiltonianParams, build_hamiltonian, build_trotter_gates, is_integer
 from .mps import RDM_SITE_CAP, DensityMatrix, MpsState, TruncationPolicy
 
 _GRID_SLACK = 1e-9
@@ -53,15 +53,15 @@ class QuenchProtocol:
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be at least 1, got {self.record_stride}")
+        for name in ("t_max", "tau"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not is_integer(self.record_stride) or self.record_stride < 1:
+            raise ValueError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         for ell in self.subsystem_sizes:
-            if not 1 <= ell <= RDM_SITE_CAP:
-                raise ValueError(f"subsystem size {ell} outside 1..{RDM_SITE_CAP}")
+            if not is_integer(ell) or not 1 <= ell <= RDM_SITE_CAP:
+                raise ValueError(f"subsystem size {ell!r} is not an integer in 1..{RDM_SITE_CAP}")
 
     @property
     def record_spacing(self) -> float:

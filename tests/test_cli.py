@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from spinquench import mps
 from spinquench.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -268,6 +269,39 @@ analysis:
     assert report["max_rdm_deviation"] <= 1e-4
     assert report["max_series_deviation"] <= 1e-4
     assert report["ground_energy_deviation"] <= 1e-8
+
+
+def test_oracle_check_at_cutoff_0_keeps_the_svd_phases(tmp_path, monkeypatch):
+    """CI's even-chain cutoff-0 oracle config: every middle split keeps the
+    SVD's phases to rounding, so the real 2n x 2n form runs once, in
+    ``mirror_half``, and the run still matches the dense reference."""
+    text = """
+name: ci-oracle-n8-cutoff0
+seed: 3
+system: {sites: 8}
+quench:
+  pre: {J: 0.2, h_x: 1.0, h_z: 0.0}
+  post: {J: 1.0, h_x: 0.1, h_z: 0.5}
+  t_max: 5.0
+truncation: {cutoff: 0}
+analysis:
+  subsystem_sizes: [1, 2, 3]
+  delta_grid: {start: 0.1, stop: 4.0, step: 0.1}
+"""
+    calls = []
+    takagi = mps._takagi
+
+    def counting(m):
+        calls.append(m.shape)
+        return takagi(m)
+
+    monkeypatch.setattr(mps, "_takagi", counting)
+    config = load_config(write_config(tmp_path, text))
+    out = tmp_path / "out"
+    assert run_oracle_check(config, output_dir=out) == EXIT_OK
+    report = json.loads((out / "oracle_report.json").read_text())
+    assert report["pass"] is True and report["aborted"] is False
+    assert len(calls) <= 1
 
 
 def test_oracle_check_fails_an_aborted_run(tmp_path, capsys):

@@ -13,6 +13,8 @@ from spinquench.mps import (
     DensityMatrix,
     MpsState,
     TruncationPolicy,
+    _EPS,
+    _GRAM_FLOOR,
     _schmidt_split,
     _svd,
     _takagi,
@@ -331,9 +333,11 @@ def test_truncation_policy_validation():
     for cutoff in (math.nan, math.inf):
         with pytest.raises(ValueError, match="cutoff"):
             TruncationPolicy(cutoff=cutoff)
-    for chi_max in (2.5, True):
+    for chi_max in (2.5, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="chi_max"):
             TruncationPolicy(chi_max=chi_max)
+    # a numpy integer is taken, as ``HamiltonianParams`` takes one for n_sites
+    assert TruncationPolicy(chi_max=np.int64(50)).chi_max == 50
 
 
 def random_gate(rng, strength=0.3):
@@ -747,9 +751,10 @@ def check_takagi_split(m, policy, split):
     # on the kept columns m = u s u^T, and u has orthonormal columns
     assert np.max(np.abs(u.conj().T @ u - np.eye(keep))) <= 1e-12
     assert np.max(np.abs(u.conj().T @ m @ u.conj() - np.diag(s))) <= 1e-10
-    # the factors miss m by the dropped weight alone, to within the budget
+    # the factors miss m by the dropped weight alone, to within the budget or,
+    # below it, the rounding floor of the split
     error = np.linalg.norm((u * s) @ u.T - m) ** 2
-    assert abs(error - discarded) <= policy.cutoff * TRUNCATION_MARGIN
+    assert abs(error - discarded) <= max(policy.cutoff * TRUNCATION_MARGIN, _GRAM_FLOOR * n * _EPS)
 
 
 @pytest.mark.parametrize("n", (6, 8, 12, 40))
@@ -787,23 +792,38 @@ def test_takagi_split_takes_the_svd_where_eigh_fails(monkeypatch):
     check_takagi_split(m, policy, split)
 
 
+def test_takagi_split_keeps_the_svd_phases_at_cutoff_0(monkeypatch):
+    """At cutoff 0 the block takes the SVD, whose phases miss it by rounding
+    alone: within the floor that ``_schmidt_split`` honours, so they are kept
+    and no 2n x 2n eigh follows."""
+    m = symmetric_block(np.random.default_rng(55), np.logspace(0, -10, 16))
+    policy = TruncationPolicy(cutoff=0.0, chi_max=12)  # chi_max binds, so values drop
+    with monkeypatch.context() as patch:
+        calls = counting_linalg(patch)
+        split = _takagi_split(m, policy)
+    assert calls == {"svd": [(16, 16)], "eigh": []}
+    check_takagi_split(m, policy, split)
+
+
 @pytest.mark.parametrize("case", ("degenerate", "cutoff 0"))
 def test_takagi_split_falls_back_to_the_real_form(case, monkeypatch):
+    """Degenerate kept values, whose vectors the split may mix, take the real
+    form: after the Gram matrix's eigh at cutoff 1e-9, after the SVD at 0."""
     rng = np.random.default_rng(55)
-    policy = TruncationPolicy(cutoff=1e-9, chi_max=50)
+    cutoff = 1e-9 if case == "degenerate" else 0.0
+    policy = TruncationPolicy(cutoff=cutoff, chi_max=50)
     values = np.logspace(0, -10, 16)
-    if case == "degenerate":  # kept values whose Gram eigenvectors eigh may mix
-        values[[1, 4, 5]] = values[[0, 3, 3]]
-    else:
-        policy = TruncationPolicy(cutoff=0.0, chi_max=50)
+    values[[1, 4, 5]] = values[[0, 3, 3]]
     m = symmetric_block(rng, values)
     n = len(m)
     expected = real_form_split(m, policy)
     with monkeypatch.context() as patch:
         calls = counting_linalg(patch)
         got = _takagi_split(m, policy)
-    tried_gram = case == "degenerate"
-    assert calls["eigh"] == [(n, n)] * tried_gram + [(2 * n, 2 * n)]
+    route = {"svd": [], "eigh": []}
+    route["eigh" if cutoff else "svd"].append((n, n))
+    route["eigh"].append((2 * n, 2 * n))
+    assert calls == route
     for mine, theirs in zip(got, expected):
         assert np.array_equal(mine, theirs)
 
@@ -955,9 +975,12 @@ def tailed(state, chi_max):
 
 
 # a random state of full bond dimension: the cut left of site c has 2**min(c, N - c)
-# values, so a tail of m sites takes the site to its left while m <= N/2
+# values, so a tail of m sites takes the site to its left while m <= N/2 and
+# 2**m <= chi_max
 @pytest.mark.parametrize("n_sites, chi_max, tail", (
-    (4, 4, 2), (4, 4096, 3), (8, 8, 3), (8, 4096, 5), (9, 8, 3), (9, 4096, 5),
+    (4, 4, 3), (4, 4096, 3), (8, 8, 4), (8, 4096, 5), (9, 8, 4), (9, 4096, 5),
+    (8, 4, 3),  # 2**2 = chi_max: the 2-site tail takes the site to its left
+    (8, 7, 3),  # the 3-site tail's full left cut of 8 is above chi_max: it stays
 ))
 def test_tail_reads_like_the_untailed_state(n_sites, chi_max, tail):
     full = random_state(n_sites, 2**n_sites, np.random.default_rng(55))
@@ -970,7 +993,7 @@ def test_tail_reads_like_the_untailed_state(n_sites, chi_max, tail):
 # on a symmetric state of full bond dimension the tail grows up to the site
 # next to the middle, which it never takes
 @pytest.mark.parametrize("n_sites, chi_max, tail", (
-    (4, 4096, 1), (8, 4, 2), (8, 4096, 3), (10, 8, 3), (10, 4096, 4),
+    (4, 4096, 1), (8, 4, 3), (8, 4096, 3), (10, 8, 4), (10, 4096, 4),
 ))
 def test_mirrored_tail_reads_like_the_whole_state(n_sites, chi_max, tail):
     full, _ = symmetric_state(np.random.default_rng(57), n_sites)
@@ -983,7 +1006,10 @@ def test_mirrored_tail_reads_like_the_whole_state(n_sites, chi_max, tail):
 def test_tail_grows_over_full_cuts_within_chi_max():
     rng = np.random.default_rng(59)
     full = random_state(8, 256, rng)
-    for chi_max, tail in ((1, 1), (3, 1), (4, 2), (7, 2), (8, 3), (16, 4), (32, 5), (4096, 5)):
+    # the tail of m sites grows while its left cut is full and 2**m <= chi_max,
+    # up to 5 sites: the cut left of site 3 holds 8 values, not 32
+    cases = ((1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4), (16, 5), (32, 5), (4096, 5))
+    for chi_max, tail in cases:
         assert tailed(full, chi_max)._tail_sites == tail
     # bonds capped at 2: the last site's cut is full, the one left of the pair is not
     assert tailed(random_state(8, 2, rng), 4096)._tail_sites == 2

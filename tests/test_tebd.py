@@ -207,6 +207,29 @@ def test_protocol_validation():
         short_protocol(record_stride=0)
     with pytest.raises(ValueError):
         short_protocol(subsystem_sizes=(7,))
+    # a NaN or infinite horizon or step would fail or mislead inside evolve
+    for name in ("t_max", "tau"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                short_protocol(**{name: value})
+    # a fractional stride ran the whole quench and then failed; a bool ran as 1
+    for stride in (2.5, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="record_stride must be an integer"):
+            short_protocol(record_stride=stride)
+    for size in (2.5, True):
+        with pytest.raises(ValueError, match="subsystem size"):
+            short_protocol(subsystem_sizes=(1, size))
+
+
+def test_protocol_takes_numpy_integers():
+    protocol = QuenchProtocol(
+        post=HamiltonianParams(1.0, 0.1, 0.5, np.int64(6)), t_max=0.1, tau=0.01,
+        record_stride=np.int64(5), subsystem_sizes=(np.int64(1), np.int64(2)),
+        policy=TruncationPolicy(1e-9, np.int64(4)),
+    )
+    record = evolve(all_up_state(6), protocol)
+    assert not record.aborted and record.times == pytest.approx([0.0, 0.05, 0.1])
+    assert sorted(record.rdms) == [1, 2] and max(record.max_bond) <= 4
 
 
 def test_size_mismatch_rejected():
